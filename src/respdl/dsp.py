@@ -1,6 +1,6 @@
 """Signal-processing front end.
 
-Pipeline: windowed-sinc resampling to 16 kHz, a 64-channel gammatone
+Pipeline: polyphase windowed-sinc resampling to 16 kHz, a 64-channel gammatone
 spectrogram (1024-sample Hann window, hop 256, FFT length 2048), log
 compression, global z-normalization fit on training data only, and
 splitting into fixed-width patches.
@@ -8,6 +8,8 @@ splitting into fixed-width patches.
 
 from __future__ import annotations
 
+import math
+import operator
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -40,39 +42,59 @@ def n_frames(n_samples: int, window: int = WINDOW, hop: int = HOP) -> int:
 
 
 def resample(samples: np.ndarray, src_rate: int, dst_rate: int = 16000) -> np.ndarray:
-    """Band-limited windowed-sinc resampling.
+    """Band-limited windowed-sinc resampling in polyphase form.
 
     Anti-alias low-pass sits at min(src, dst)/2; the output holds exactly
     round(len * dst / src) samples. Empty input yields empty output.
+
+    Output sample n is centred on input position n*M/L, where
+    g = gcd(src, dst), M = src/g and L = dst/g, so its Blackman-windowed
+    sinc kernel depends only on the phase n mod L. The kernels are built
+    once per call as a table of min(L, n_out) rows; the outputs
+    n = r + L*j of phase r are one matrix-vector product over windows of
+    the zero-padded input that start M samples apart. A coprime ratio such
+    as 44101 -> 16000 Hz (L = 16000) takes the same path; for a short input
+    its table still has only min(L, n_out) rows.
+
+    Rates must be positive integers (``int`` or a numpy integer), as read
+    from a WAV header: the phase table needs their gcd. Anything else
+    raises ParameterError.
     """
+    try:
+        src_rate, dst_rate = operator.index(src_rate), operator.index(dst_rate)
+    except TypeError:
+        raise ParameterError("sample rates must be integers") from None
     if src_rate <= 0 or dst_rate <= 0:
         raise ParameterError("sample rates must be positive")
     x = np.asarray(samples, dtype=np.float64)
-    if x.size == 0:
-        return x.copy()
     if src_rate == dst_rate:
         return x.copy()
+    n_out = round(x.size * dst_rate / src_rate)
+    if n_out == 0:
+        return np.empty(0)
 
-    n_out = int(round(x.size * dst_rate / src_rate))
-    ratio = dst_rate / src_rate
-    fc = min(1.0, ratio)  # cutoff as a fraction of the input Nyquist
+    g = math.gcd(src_rate, dst_rate)
+    up, down = dst_rate // g, src_rate // g  # L and M
+    fc = min(1.0, dst_rate / src_rate)  # cutoff as a fraction of the input Nyquist
     half = int(np.ceil(_SINC_ZEROS / fc))
 
+    phases = np.arange(min(up, n_out)) * down
+    base = phases // up  # input index under the centre tap of output r
+    t = np.arange(-half, half + 1)[None, :] - ((phases % up) / up)[:, None]
+    u = t / half
+    window = (0.42 + 0.5 * np.cos(np.pi * u) + 0.08 * np.cos(2 * np.pi * u)) * (np.abs(u) <= 1.0)
+    table = fc * np.sinc(fc * t) * window
+
+    # window s of the padded input covers input indices s - half .. s + half;
+    # n_out <= len*L/M + 1/2 puts the last centre below len, so its base fits
+    padded = np.zeros(x.size + 2 * half)
+    padded[half : half + x.size] = x
+    windows = np.lib.stride_tricks.sliding_window_view(padded, 2 * half + 1)
+
     out = np.empty(n_out, dtype=np.float64)
-    offsets = np.arange(-half, half + 1)
-    block = max(1, int(4e6 / (2 * half + 1)))  # bound the gather matrix size
-    for lo in range(0, n_out, block):
-        hi = min(lo + block, n_out)
-        centers = np.arange(lo, hi, dtype=np.float64) / ratio
-        base = np.floor(centers).astype(np.int64)
-        idx = base[:, None] + offsets[None, :]
-        t = idx - centers[:, None]
-        u = t / half
-        window = (0.42 + 0.5 * np.cos(np.pi * u) + 0.08 * np.cos(2 * np.pi * u)) * (np.abs(u) <= 1.0)
-        kernel = fc * np.sinc(fc * t) * window
-        valid = (idx >= 0) & (idx < x.size)
-        gathered = x[np.clip(idx, 0, x.size - 1)] * valid
-        out[lo:hi] = np.einsum("ij,ij->i", gathered, kernel)
+    for r, kernel in enumerate(table):
+        count = len(range(r, n_out, up))
+        out[r::up] = windows[base[r] :: down][:count] @ kernel
     return out
 
 

@@ -206,6 +206,13 @@ _WAVE_FORMAT_PCM = 1
 _WAVE_FORMAT_IEEE_FLOAT = 3
 _WAVE_FORMAT_EXTENSIBLE = 0xFFFE
 
+# (format tag, bits per sample) -> (little-endian dtype, value mapped to 1.0)
+_CODECS = {
+    (_WAVE_FORMAT_PCM, 16): ("<i2", 32768.0),
+    (_WAVE_FORMAT_PCM, 32): ("<i4", 2147483648.0),
+    (_WAVE_FORMAT_IEEE_FLOAT, 32): ("<f4", 1.0),
+}
+
 
 def load_wav(path) -> AudioRecording:
     """Decode a PCM WAV file to a mono waveform in [-1, 1].
@@ -213,8 +220,9 @@ def load_wav(path) -> AudioRecording:
     Supports 16/32-bit integer and 32-bit float samples, any channel count
     (channels are averaged). The original sample rate is preserved.
 
-    Raises FormatError for a malformed RIFF container and UnsupportedError
-    for codecs outside the supported set.
+    Raises FormatError for a malformed RIFF container, a data chunk that is
+    not a whole number of samples or holds none, and non-finite float
+    samples; UnsupportedError for codecs outside the supported set.
     """
     path = Path(path)
     data = path.read_bytes()
@@ -246,24 +254,26 @@ def load_wav(path) -> AudioRecording:
     if n_channels < 1 or sample_rate < 1:
         raise FormatError(f"{path.name}: invalid fmt fields")
 
-    if audio_format == _WAVE_FORMAT_PCM and bits == 16:
-        raw = np.frombuffer(payload, dtype="<i2")
-        samples = raw.astype(np.float64) / 32768.0
-    elif audio_format == _WAVE_FORMAT_PCM and bits == 32:
-        raw = np.frombuffer(payload, dtype="<i4")
-        samples = raw.astype(np.float64) / 2147483648.0
-    elif audio_format == _WAVE_FORMAT_IEEE_FLOAT and bits == 32:
-        samples = np.frombuffer(payload, dtype="<f4").astype(np.float64)
-        if not np.all(np.isfinite(samples)):
-            raise FormatError(f"{path.name}: non-finite float samples")
-    else:
+    codec = _CODECS.get((audio_format, bits))
+    if codec is None:
         raise UnsupportedError(
             f"{path.name}: unsupported codec (format={audio_format}, bits={bits})"
         )
+    dtype, full_scale = codec
+    if len(payload) % (bits // 8):
+        raise FormatError(
+            f"{path.name}: data chunk of {len(payload)} bytes is not a whole "
+            f"number of {bits}-bit samples"
+        )
+    samples = np.frombuffer(payload, dtype=dtype).astype(np.float64) / full_scale
+    if audio_format == _WAVE_FORMAT_IEEE_FLOAT and not np.all(np.isfinite(samples)):
+        raise FormatError(f"{path.name}: non-finite float samples")
 
     if n_channels > 1:
         usable = (len(samples) // n_channels) * n_channels
         samples = samples[:usable].reshape(-1, n_channels).mean(axis=1)
+    if samples.size == 0:
+        raise FormatError(f"{path.name}: data chunk holds no samples")
 
     stem = path.stem
     return AudioRecording(

@@ -1,11 +1,23 @@
 """Shared fixtures: one synthetic dataset reused across harness/CLI/acceptance
 tests, with features prepared at the desk-scale patch width."""
 
+import struct
+
 import numpy as np
 import pytest
 
 from respdl import harness, ingest, synth
 from respdl.nn import TrainConfig
+
+
+def write_raw_wav(path, fmt_code, bits, channels, rate, payload):
+    """A WAV whose data chunk is exactly `payload`, whatever its length."""
+    block = channels * bits // 8
+    header = b"RIFF" + struct.pack("<I", 36 + len(payload)) + b"WAVE"
+    header += b"fmt " + struct.pack("<IHHIIHH", 16, fmt_code, channels, rate,
+                                    rate * block, block, bits)
+    header += b"data" + struct.pack("<I", len(payload))
+    path.write_bytes(header + payload)
 
 
 @pytest.fixture(scope="session")

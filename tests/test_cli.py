@@ -8,6 +8,8 @@ import pytest
 from respdl import ingest
 from respdl.cli import CONFIG_KEYS, build_parser, main
 
+from conftest import write_raw_wav
+
 
 def run_cli(*argv):
     return main(list(argv))
@@ -108,6 +110,15 @@ class TestExitCodes:
         diag.write_text("101,Healthy\n")
         code = run_cli("features", "--audio-dir", str(tmp_path),
                        "--diagnosis", str(diag), "--out", str(tmp_path / "cache"))
+        assert code == 2
+
+    def test_empty_wav_in_task2_features_is_data_error(self, tmp_path):
+        write_raw_wav(tmp_path / "101_x.wav", 1, 16, 1, 8000, b"")
+        (tmp_path / "101_x.txt").write_text("0.0 1.0 0 0\n")
+        diag = tmp_path / "diag.csv"
+        diag.write_text("101,Healthy\n")
+        code = run_cli("features", "--audio-dir", str(tmp_path), "--diagnosis", str(diag),
+                       "--task", "Task2_3class", "--out", str(tmp_path / "cache"))
         assert code == 2
 
     def test_predict_on_garbage_checkpoint_is_data_error(self, tmp_path):
@@ -236,6 +247,18 @@ class TestEvalAndPredict:
         assert len(probs) == 4
         assert sum(probs) == pytest.approx(1.0, abs=1e-4)
         assert all(p >= 0 for p in probs)
+
+
+    # a data chunk with half a sample, and one with none
+    @pytest.mark.parametrize("payload", [b"\x00" * 2001, b""], ids=["odd", "empty"])
+    def test_predict_on_bad_data_chunk_is_data_error(self, trained_run, tmp_path,
+                                                      payload, capsys):
+        wav = tmp_path / "x.wav"
+        write_raw_wav(wav, 1, 16, 1, 8000, payload)
+        code = run_cli("predict", "--model", str(trained_run / "ckpt_cnn_moe_fold0.rsdl"),
+                       "--wav", str(wav))
+        assert code == 2
+        assert "x.wav" in capsys.readouterr().err
 
 
 class TestFeaturesCommand:

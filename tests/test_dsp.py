@@ -1,7 +1,11 @@
 """Resampler, gammatone bank, spectrogram, patching and the feature cache."""
 
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
+from scipy.signal import resample_poly
 
 from respdl import dsp
 from respdl.errors import FormatError, ParameterError
@@ -56,6 +60,112 @@ class TestResample:
     def test_bad_rates(self):
         with pytest.raises(ParameterError):
             dsp.resample(np.zeros(10), 0, 16000)
+
+
+def resample_reference(x, src_rate, dst_rate=16000):
+    """Direct form of the resampler: one windowed-sinc kernel per output sample.
+
+    Output n is centred on input position n*src/dst; taps outside the input
+    count as zero. This is the per-sample formula the polyphase
+    implementation must reproduce.
+    """
+    x = np.asarray(x, dtype=np.float64)
+    n_out = int(round(x.size * dst_rate / src_rate))
+    ratio = dst_rate / src_rate
+    fc = min(1.0, ratio)
+    half = int(np.ceil(32 / fc))
+    centers = np.arange(n_out, dtype=np.float64) / ratio
+    idx = np.floor(centers).astype(np.int64)[:, None] + np.arange(-half, half + 1)[None, :]
+    t = idx - centers[:, None]
+    u = t / half
+    window = (0.42 + 0.5 * np.cos(np.pi * u) + 0.08 * np.cos(2 * np.pi * u)) * (np.abs(u) <= 1.0)
+    kernel = fc * np.sinc(fc * t) * window
+    valid = (idx >= 0) & (idx < x.size)
+    return np.einsum("ij,ij->i", x[np.clip(idx, 0, x.size - 1)] * valid, kernel)
+
+
+# 48000 Hz has L = 1 (one phase); 44101 Hz is coprime with 16000 (L = 16000)
+EQUIVALENCE_RATES = (44100, 22050, 10000, 8000, 4000, 48000, 44101)
+
+
+def _past_end_length(src_rate, dst_rate=16000):
+    """Shortest input whose last output is centred past its last sample, or None.
+
+    Rounding the output length up can do this only when dst/src > 1/2.
+    """
+    for n in range(2, 1000):
+        n_out = round(n * dst_rate / src_rate)
+        if (n_out - 1) * src_rate / dst_rate > n - 1:
+            return n
+    return None
+
+
+def _equivalence_cases():
+    for rate in EQUIVALENCE_RATES:
+        past_end = _past_end_length(rate)
+        # 40 samples is shorter than every kernel (the shortest has 65 taps)
+        for n in [1, 3, 40, 4999] + ([past_end] if past_end else []):
+            yield pytest.param(rate, n, id=f"{rate}Hz-{n}")
+
+
+class TestPolyphaseResample:
+    @pytest.mark.parametrize("rate,n", list(_equivalence_cases()))
+    def test_matches_direct_formula(self, rate, n, rng):
+        x = rng.standard_normal(n)
+        got = dsp.resample(x, rate)
+        want = resample_reference(x, rate)
+        assert got.shape == want.shape
+        if want.size:
+            assert np.max(np.abs(got - want)) <= 1e-9
+
+    @pytest.mark.parametrize("rate", EQUIVALENCE_RATES)
+    def test_passband_tones_match_scipy(self, rate):
+        # independent oracle: scipy's polyphase FIR (Kaiser window) at L/M
+        g = math.gcd(rate, 16000)
+        up, down = 16000 // g, rate // g
+        t = np.arange(rate) / rate
+        for freq in (250.0, 1000.0, 3000.0):
+            if freq >= 0.4 * min(rate, 16000):
+                continue
+            x = np.sin(2 * np.pi * freq * t)
+            got = dsp.resample(x, rate)
+            want = resample_poly(x, up, down)
+            assert got.shape == want.shape
+            edge = 300  # both filters see the zero padding near the ends
+            assert np.max(np.abs(got[edge:-edge] - want[edge:-edge])) <= 5e-3
+
+    def test_coprime_table_bounded_by_output_length(self):
+        # L = 16000 phases at 44101 Hz; a 3-sample input has 1 output, so the
+        # kernel table must be one row, not 16000 x 179 (23 MB)
+        tracemalloc.start()
+        try:
+            out = dsp.resample(np.ones(3), 44101)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert out.shape == (1,)
+        assert peak < 1_000_000
+
+    def test_coprime_long_input(self, rng):
+        # long enough that the first phases each produce two outputs
+        x = rng.standard_normal(46000)
+        got = dsp.resample(x, 44101)
+        assert np.max(np.abs(got - resample_reference(x, 44101))) <= 1e-9
+
+    @pytest.mark.parametrize("src,dst", [(44100.5, 16000), (44100.0, 16000),
+                                         (44100, 16000.0), ("44100", 16000)])
+    def test_non_integer_rate_rejected(self, src, dst):
+        with pytest.raises(ParameterError):
+            dsp.resample(np.zeros(10), src, dst)
+
+    def test_numpy_integer_rate_accepted(self, rng):
+        x = rng.standard_normal(500)
+        np.testing.assert_array_equal(dsp.resample(x, np.int32(44100)),
+                                      dsp.resample(x, 44100))
+
+    def test_negative_rate_rejected(self):
+        with pytest.raises(ParameterError):
+            dsp.resample(np.zeros(10), 44100, -16000)
 
 
 class TestGammatoneBank:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from respdl import harness, ingest, synth
-from respdl.errors import NumericalError, ParameterError
+from respdl.errors import FormatError, NumericalError, ParameterError
 from respdl.harness import (
     CYCLE_SWEEP_LENGTHS,
     TIMERES_SWEEP_WIDTHS,
@@ -14,7 +14,7 @@ from respdl.harness import (
 )
 from respdl.nn import TrainConfig
 
-from conftest import desk_config
+from conftest import desk_config, write_raw_wav
 
 
 class TestComputeMetrics:
@@ -130,6 +130,18 @@ def tiny_manifest(tmp_path_factory):
     d = tmp_path_factory.mktemp("sweepdata")
     synth.generate(d, n_recordings=16, n_classes=4, seed=2)
     return ingest.build_manifest(d, d / "diagnosis.csv", "Task1_4class")
+
+
+class TestBuildFeatures:
+    def test_empty_recording_in_task2_is_format_error(self, tmp_path):
+        # a data chunk with no samples once reached np.tile(x, ceil(1024/0))
+        write_raw_wav(tmp_path / "102_a.wav", 1, 16, 1, 4000, b"")
+        (tmp_path / "102_a.txt").write_text("0.0 1.0 0 0\n")
+        (tmp_path / "diag.csv").write_text("102,COPD\n")
+        manifest = ingest.build_manifest(tmp_path, tmp_path / "diag.csv", "Task2_3class")
+        assert len(manifest.records) == 1
+        with pytest.raises(FormatError, match="102_a.wav"):
+            harness.build_features(manifest, "Task2_3class", 0.0)
 
 
 class TestRunFold:

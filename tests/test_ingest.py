@@ -1,7 +1,5 @@
 """WAV decoding, annotation parsing, manifest construction and folds."""
 
-import struct
-
 import numpy as np
 import pytest
 from scipy.io import wavfile
@@ -15,14 +13,7 @@ from respdl.errors import (
     UnsupportedError,
 )
 
-
-def write_raw_wav(path, fmt_code, bits, channels, rate, payload):
-    block = channels * bits // 8
-    header = b"RIFF" + struct.pack("<I", 36 + len(payload)) + b"WAVE"
-    header += b"fmt " + struct.pack("<IHHIIHH", 16, fmt_code, channels, rate,
-                                    rate * block, block, bits)
-    header += b"data" + struct.pack("<I", len(payload))
-    path.write_bytes(header + payload)
+from conftest import write_raw_wav
 
 
 class TestLoadWav:
@@ -106,6 +97,25 @@ class TestLoadWav:
         data = np.array([0.0, np.nan, 0.5], dtype="<f4")
         write_raw_wav(p, 3, 32, 1, 8000, data.tobytes())
         with pytest.raises(FormatError):
+            ingest.load_wav(p)
+
+    @pytest.mark.parametrize("fmt_code,bits,n_bytes", [
+        (1, 16, 201),  # odd byte count for 16-bit PCM
+        (1, 32, 202),  # not divisible by 4 for 32-bit PCM
+        (3, 32, 203),  # not divisible by 4 for 32-bit float
+    ])
+    def test_partial_sample_in_data_chunk_rejected(self, tmp_path, fmt_code, bits, n_bytes):
+        p = tmp_path / "partial.wav"
+        write_raw_wav(p, fmt_code, bits, 1, 8000, b"\x00" * n_bytes)
+        with pytest.raises(FormatError, match="whole number"):
+            ingest.load_wav(p)
+
+    @pytest.mark.parametrize("channels,n_bytes", [(1, 0), (2, 2)])
+    def test_data_chunk_without_samples_rejected(self, tmp_path, channels, n_bytes):
+        # (2, 2): one 16-bit value is less than one stereo frame
+        p = tmp_path / "empty.wav"
+        write_raw_wav(p, 1, 16, channels, 8000, b"\x00" * n_bytes)
+        with pytest.raises(FormatError, match="no samples"):
             ingest.load_wav(p)
 
     def test_wav_writer_roundtrip(self, tmp_path, rng):
