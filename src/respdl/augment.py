@@ -1,14 +1,14 @@
-"""Training-time augmentation: minimum-length cycle duplication and mixup."""
+"""Augmentation: minimum-length waveform duplication and mixup."""
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ParameterError
-from .ingest import RespiratoryCycle, TARGET_RATE
+from .ingest import TARGET_RATE
 
 
 @dataclass
@@ -30,24 +30,24 @@ class LabeledBatch:
 
 
 def duplicate_to_min(
-    cycle: RespiratoryCycle, min_seconds: float, sample_rate: int = TARGET_RATE
-) -> RespiratoryCycle:
-    """Repeat a short cycle whole until it reaches the minimum length.
+    samples: np.ndarray, min_seconds: float, sample_rate: int = TARGET_RATE
+) -> np.ndarray:
+    """Repeat a short waveform whole until it reaches the minimum length.
 
     The waveform is tiled r = ceil(min_samples/len) times with no truncation,
-    so the output length is r*len >= min_samples and the label is unchanged.
-    Cycles already long enough come back as-is (r = 1).
+    so the output length is r*len >= min_samples. Waveforms already long
+    enough come back as-is (r = 1).
     """
-    n = len(cycle.samples)
+    n = len(samples)
     if n == 0:
-        raise ParameterError(f"{cycle.cycle_id}: empty cycle")
+        raise ParameterError("empty waveform")
     if min_seconds <= 0:
         raise ParameterError("min_seconds must be positive")
     min_samples = math.ceil(min_seconds * sample_rate)
     reps = math.ceil(min_samples / n)
     if reps <= 1:
-        return cycle
-    return replace(cycle, samples=np.tile(cycle.samples, reps))
+        return samples
+    return np.tile(samples, reps)
 
 
 def mixup(

@@ -208,17 +208,22 @@ def _checkpoint_tag(cfg: harness.ExperimentConfig, model_name: str) -> str:
             f"min={cfg.min_cycle_seconds}")
 
 
-def _model_from_tag(tag: str):
+def _load_model(path):
+    """The model a checkpoint holds, its tag fields and its norm stats."""
+    tag, entries = load_checkpoint(path)
     kv = dict(part.split("=", 1) for part in tag.split(","))
-    n_classes = len(ingest.TASK_CLASS_NAMES[kv["task"]])
     model = models.build_model(
         kv["model"],
-        n_classes,
+        len(ingest.TASK_CLASS_NAMES[kv["task"]]),
         patch_width=int(kv["width"]),
         gru_hidden=int(kv["hidden"]),
         n_experts=int(kv["experts"]),
     )
-    return model, kv
+    assign_params(model.params(), entries)
+    model.set_buffers(entries)
+    stats = dsp.NormStats(mean=float(entries["norm.mean"][0]),
+                          std=float(entries["norm.std"][0]))
+    return model, kv, stats
 
 
 def _save_fold_outputs(run_dir: Path, cfg, result: harness.FoldResult):
@@ -321,24 +326,20 @@ def cmd_train(args) -> int:
 
 def cmd_eval(args) -> int:
     cfg = build_config(args)
-    tag, entries = load_checkpoint(args.checkpoint)
-    model, kv = _model_from_tag(tag)
-    assign_params(model.params(), entries)
-    model.set_buffers(entries)
-    stats = dsp.NormStats(mean=float(entries["norm.mean"][0]),
-                          std=float(entries["norm.std"][0]))
-
-    cfg = harness.config_from_dict(
-        {"task": kv["task"], "patch_width": kv["width"]}, cfg
+    model, kv, stats = _load_model(args.checkpoint)
+    trained = harness.config_from_dict(
+        {"task": kv["task"], "patch_width": kv["width"], "min_cycle_seconds": kv["min"]}, cfg
     )
+    for key in ("task", "patch_width", "min_cycle_seconds"):
+        if getattr(args, f"cfg_{key}") is not None and getattr(cfg, key) != getattr(trained, key):
+            raise UsageError(f"--{key.replace('_', '-')} {getattr(cfg, key)} differs from "
+                             f"the checkpoint's {getattr(trained, key)}")
+    cfg = trained
+
     _, features, folds = _prepare(cfg)
     heldout = sorted(e for e in features if folds.assignment[e] == args.fold)
-    groups = {
-        eid: np.stack([p.values.astype(np.float32)
-                       for p in dsp.patchify((features[eid].spec - stats.mean) / stats.std,
-                                             cfg.patch_width)])
-        for eid in heldout
-    }
+    groups = {eid: harness.normalized_patches(features[eid].spec, stats, cfg.patch_width)
+              for eid in heldout}
     probs = harness.evaluate_entities(model, groups)
     preds = {eid: int(np.argmax(p)) for eid, p in probs.items()}
     truths = {eid: features[eid].label for eid in heldout}
@@ -378,28 +379,16 @@ def cmd_sweep_timeres(args) -> int:
 
 
 def cmd_predict(args) -> int:
-    tag, entries = load_checkpoint(args.checkpoint)
-    model, kv = _model_from_tag(tag)
-    assign_params(model.params(), entries)
-    model.set_buffers(entries)
-    stats = dsp.NormStats(mean=float(entries["norm.mean"][0]),
-                          std=float(entries["norm.std"][0]))
-
-    recording = ingest.load_wav(args.wav)
-    samples = dsp.resample(recording.samples, recording.sample_rate)
-    # mirror the training front end: duplicate short inputs up to the
-    # minimum length the checkpoint was trained with (cycle tasks only)
-    min_seconds = float(kv.get("min", 0.0)) if kv["task"].startswith("Task1") else 0.0
-    min_samples = max(int(np.ceil(min_seconds * ingest.TARGET_RATE)), dsp.WINDOW)
-    if len(samples) < min_samples:
-        samples = np.tile(samples, int(np.ceil(min_samples / len(samples))))
-    bank = dsp.build_gammatone_bank()
-    spec = dsp.gammatone_spectrogram(samples, bank, stats=stats)
-    patches = np.stack([p.values.astype(np.float32)
-                        for p in dsp.patchify(spec, int(kv["width"]))])
+    model, kv, stats = _load_model(args.checkpoint)
+    wav = Path(args.wav)
+    # the checkpoint's minimum cycle length; whole recordings get one window
+    by_cycle = ingest.task_entity_level(kv["task"]) == "cycle"
+    spec = harness.entity_spectrogram(harness.load_recording(wav).samples,
+                                      float(kv["min"]) if by_cycle else 0.0,
+                                      dsp.build_gammatone_bank(), wav.name)
+    patches = harness.normalized_patches(spec, stats, int(kv["width"]))
     probs = models.aggregate_patches(model.forward(patches, train=False))
-    names = ingest.TASK_CLASS_NAMES[kv["task"]]
-    print(",".join(names))
+    print(",".join(ingest.TASK_CLASS_NAMES[kv["task"]]))
     print(",".join(f"{p:.6f}" for p in probs))
     return 0
 

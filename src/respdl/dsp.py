@@ -1,9 +1,12 @@
-"""Signal-processing front end.
+"""Signal-processing building blocks of the front end.
 
-Pipeline: polyphase windowed-sinc resampling to 16 kHz, a 64-channel gammatone
-spectrogram (1024-sample Hann window, hop 256, FFT length 2048), log
-compression, global z-normalization fit on training data only, and
-splitting into fixed-width patches.
+Polyphase windowed-sinc resampling to 16 kHz, a 64-channel gammatone
+spectrogram (1024-sample Hann window, hop 256, FFT length 2048) with log
+compression, global z-normalization statistics fit on training data only,
+and the split of a spectrogram into an (n, 64, width) array of fixed-width
+patches. ``harness.entity_spectrogram`` and ``harness.normalized_patches``
+chain these into the one front end that training, ``eval`` and ``predict``
+share.
 """
 
 from __future__ import annotations
@@ -181,34 +184,16 @@ class NormStats:
 
 @dataclass
 class Spectrogram:
-    """Log-compressed (optionally normalized) gammatone spectrogram."""
+    """Log-compressed gammatone spectrogram."""
 
     values: np.ndarray  # (n_channels, T)
-    entity_id: str = ""
-    frame_hop: int = HOP
-    window: int = WINDOW
 
 
-@dataclass
-class Patch:
-    """A fixed-width slice of a spectrogram."""
-
-    values: np.ndarray  # (n_channels, width)
-    entity_id: str = ""
-    index: int = 0
-
-
-def gammatone_spectrogram(
-    samples: np.ndarray,
-    bank: GammatoneBank,
-    stats: NormStats | None = None,
-    entity_id: str = "",
-) -> Spectrogram:
+def gammatone_spectrogram(samples: np.ndarray, bank: GammatoneBank) -> Spectrogram:
     """Hann-windowed power STFT mapped through the gammatone bank.
 
     Frames of 1024 samples (hop 256) are zero-padded to the bank's FFT
-    length; channel energies are log(x + 1e-10) compressed and, when stats
-    are given, normalized to (v - mean)/std.
+    length; channel energies are log(x + 1e-10) compressed.
     """
     x = np.asarray(samples, dtype=np.float64)
     frames = n_frames(x.size)
@@ -216,21 +201,15 @@ def gammatone_spectrogram(
     windowed = strided * np.hanning(WINDOW)
     spectrum = np.fft.rfft(windowed, n=bank.fft_len, axis=1)
     power = spectrum.real**2 + spectrum.imag**2
-    values = np.log(bank.weights @ power.T + LOG_EPS)
-    if stats is not None:
-        values = (values - stats.mean) / stats.std
-    return Spectrogram(values=values, entity_id=entity_id)
+    return Spectrogram(values=np.log(bank.weights @ power.T + LOG_EPS))
 
 
 def fit_norm_stats(spectrograms) -> NormStats:
-    """Global mean/std over all cells of the given spectrograms.
+    """Global mean/std over all cells of the given (n_channels, T) arrays.
 
     The std is floored at 1e-6. Fit this on the training fold only.
     """
-    arrays = [
-        np.asarray(s.values if isinstance(s, Spectrogram) else s, dtype=np.float64)
-        for s in spectrograms
-    ]
+    arrays = [np.asarray(s, dtype=np.float64) for s in spectrograms]
     if not arrays:
         raise ParameterError("fit_norm_stats needs at least one spectrogram")
     total = sum(a.size for a in arrays)
@@ -239,34 +218,28 @@ def fit_norm_stats(spectrograms) -> NormStats:
     return NormStats(mean=float(mean), std=max(float(np.sqrt(var)), 1e-6))
 
 
-def patchify(spec: Spectrogram | np.ndarray, width: int) -> list[Patch]:
-    """Split a spectrogram into `width`-frame patches.
+def patchify(values: np.ndarray, width: int) -> np.ndarray:
+    """Split an (n_channels, T) spectrogram into an (n, n_channels, width) array.
 
     Non-overlapping windows start at frame 0; a remainder produces one final
     right-aligned patch overlapping its neighbour. Spectrograms shorter than
-    `width` yield a single patch tiled cyclically to full width.
+    `width` yield a single patch tiled cyclically to full width. Without a
+    remainder the result is a strided view of `values`.
     """
     if width < 1:
         raise ParameterError("patch width must be >= 1")
-    if isinstance(spec, Spectrogram):
-        values, entity_id = spec.values, spec.entity_id
-    else:
-        values, entity_id = np.asarray(spec), ""
     t = values.shape[1]
     if t < 1:
         raise ParameterError("spectrogram has no frames")
-
     if t < width:
-        tiled = values[:, np.arange(width) % t]
-        return [Patch(values=tiled, entity_id=entity_id, index=0)]
+        return values[None, :, np.arange(width) % t]
 
-    starts = list(range(0, t - width + 1, width))
-    if t % width != 0:
-        starts.append(t - width)
-    return [
-        Patch(values=values[:, s : s + width], entity_id=entity_id, index=i)
-        for i, s in enumerate(starts)
-    ]
+    windows = np.lib.stride_tricks.sliding_window_view(values, width, axis=1)
+    if t % width == 0:
+        starts = slice(None, None, width)
+    else:
+        starts = np.append(np.arange(0, t - width + 1, width), t - width)
+    return windows[:, starts].transpose(1, 0, 2)
 
 
 # ---------------------------------------------------------------------------

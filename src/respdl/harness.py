@@ -21,7 +21,7 @@ import numpy as np
 
 from . import dsp, ingest, models
 from .augment import LabeledBatch, MixupConfig, duplicate_to_min, mixup_batch
-from .errors import NumericalError, ParameterError
+from .errors import FormatError, NumericalError, ParameterError
 from .nn import Adam, TrainConfig, add_l2_grads, loss_ce_l2, save_checkpoint
 
 log = logging.getLogger(__name__)
@@ -194,6 +194,37 @@ class EntityFeatures:
     patient_id: str
 
 
+def load_recording(path) -> ingest.AudioRecording:
+    """Decode a WAV and resample it to 16 kHz."""
+    recording = ingest.load_wav(path)
+    recording.samples = dsp.resample(recording.samples, recording.sample_rate)
+    recording.sample_rate = ingest.TARGET_RATE
+    return recording
+
+
+def entity_spectrogram(
+    samples: np.ndarray, min_seconds: float, bank: dsp.GammatoneBank, source: str
+) -> np.ndarray:
+    """One entity's unnormalized (64, T) log-gammatone spectrogram.
+
+    The 16 kHz waveform is repeated whole up to max(min_seconds, one
+    analysis window). An empty waveform (a 1-sample 44.1 kHz file
+    resamples to none) is a FormatError naming ``source``.
+    """
+    if len(samples) == 0:
+        raise FormatError(f"{source}: no samples at {ingest.TARGET_RATE} Hz")
+    samples = duplicate_to_min(samples, max(min_seconds, dsp.WINDOW / ingest.TARGET_RATE))
+    return dsp.gammatone_spectrogram(samples, bank).values
+
+
+def normalized_patches(
+    spec: np.ndarray, stats: dsp.NormStats, width: int, dtype=np.float32
+) -> np.ndarray:
+    """z-normalize a spectrogram with training statistics and cut it into
+    an (n, 64, width) array of patches."""
+    return dsp.patchify((spec - stats.mean) / stats.std, width).astype(dtype)
+
+
 def build_features(
     manifest: ingest.DatasetManifest,
     task: str,
@@ -203,39 +234,28 @@ def build_features(
     """Decode, resample, (Task 1) slice + duplicate cycles, and compute
     unnormalized log-spectrograms per entity.
 
-    Normalization is deliberately left to the fold loop so statistics never
-    see held-out entities.
+    Task 2 entities are whole recordings, duplicated only up to one
+    analysis window. Normalization is deliberately left to the fold loop so
+    statistics never see held-out entities.
     """
     bank = bank or dsp.build_gammatone_bank()
-    level = ingest.task_entity_level(task)
+    by_cycle = ingest.task_entity_level(task) == "cycle"
+    min_seconds = min_cycle_seconds if by_cycle else 0.0
     labels_by_entity = {eid: (cls, pid) for eid, cls, pid in manifest.entities(task)}
-    # inputs shorter than one analysis window are duplicated regardless
-    min_seconds = max(min_cycle_seconds, dsp.WINDOW / ingest.TARGET_RATE)
 
     out: dict[str, EntityFeatures] = {}
     for rec in manifest.records:
-        recording = ingest.load_wav(Path(manifest.root) / f"{rec.recording_id}.wav")
-        recording.samples = dsp.resample(recording.samples, recording.sample_rate)
-        recording.sample_rate = ingest.TARGET_RATE
-        if level == "recording":
-            samples = recording.samples
-            if len(samples) < dsp.WINDOW:
-                samples = np.tile(samples, int(np.ceil(dsp.WINDOW / len(samples))))
-            spec = dsp.gammatone_spectrogram(samples, bank, entity_id=rec.recording_id)
-            cls, pid = labels_by_entity[rec.recording_id]
-            out[rec.recording_id] = EntityFeatures(spec.values, cls, pid)
+        path = Path(manifest.root) / f"{rec.recording_id}.wav"
+        recording = load_recording(path)
+        if by_cycle:
+            cycles = ingest.extract_cycles(recording, rec.labels)
+            entities = [(c.cycle_id, c.samples, c.cycle_id) for c in cycles]
         else:
-            for cycle in ingest.extract_cycles(recording, rec.labels):
-                cycle = duplicate_to_min(cycle, min_seconds)
-                spec = dsp.gammatone_spectrogram(cycle.samples, bank, entity_id=cycle.cycle_id)
-                cls, pid = labels_by_entity[cycle.cycle_id]
-                out[cycle.cycle_id] = EntityFeatures(spec.values, cls, pid)
+            entities = [(rec.recording_id, recording.samples, path.name)]
+        for eid, samples, source in entities:
+            spec = entity_spectrogram(samples, min_seconds, bank, source)
+            out[eid] = EntityFeatures(spec, *labels_by_entity[eid])
     return out
-
-
-def _normalized_patches(feat: EntityFeatures, stats: dsp.NormStats, width: int, dtype):
-    values = (feat.spec - stats.mean) / stats.std
-    return [p.values.astype(dtype) for p in dsp.patchify(values, width)]
 
 
 # ---------------------------------------------------------------------------
@@ -392,20 +412,16 @@ def run_fold(
     dtype = np.float32
     n_classes = config.n_classes
 
-    train_patches = []
-    train_targets = []
-    eye = np.eye(n_classes, dtype=dtype)
-    for eid in train_ids:
-        for patch in _normalized_patches(features[eid], stats, config.patch_width, dtype):
-            train_patches.append(patch)
-            train_targets.append(eye[features[eid].label])
-    x = np.stack(train_patches)
-    y = np.stack(train_targets)
+    def patches(eid):
+        return normalized_patches(features[eid].spec, stats, config.patch_width, dtype)
 
-    heldout_groups = {
-        eid: np.stack(_normalized_patches(features[eid], stats, config.patch_width, dtype))
-        for eid in heldout_ids
-    }
+    train_groups = [patches(eid) for eid in train_ids]
+    x = np.concatenate(train_groups)
+    labels = [features[eid].label for eid in train_ids]
+    y = np.repeat(np.eye(n_classes, dtype=dtype)[labels], [len(g) for g in train_groups], axis=0)
+    del train_groups
+
+    heldout_groups = {eid: patches(eid) for eid in heldout_ids}
     truths = {eid: features[eid].label for eid in heldout_ids}
 
     mixup_cfg = MixupConfig(alpha=config.mixup_alpha, enabled=config.mixup)

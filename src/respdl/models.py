@@ -63,23 +63,6 @@ CRNN_TRACE_128 = (
 
 
 @dataclass
-class MoEConfig:
-    n_experts: int = 10
-
-    def __post_init__(self):
-        if self.n_experts < 1:
-            raise ParameterError("need at least one expert")
-
-
-@dataclass
-class ModelOutput:
-    """Row-stochastic class probabilities plus optional diagnostics."""
-
-    probs: np.ndarray
-    logits: np.ndarray | None = None
-
-
-@dataclass
 class EnsembleOutput:
     """Element-wise mean of the two models' probabilities."""
 
@@ -227,7 +210,7 @@ class CNNMoE:
         for block in self.blocks:
             for layer in block:
                 x = layer.forward(x, train)
-        probs, self._logits = self.moe.forward(x, train)
+        probs, _ = self.moe.forward(x, train)
         return probs
 
     def backward(self, dlogits):
@@ -258,10 +241,6 @@ class CNNMoE:
             for layer in block:
                 if isinstance(layer, BatchNorm2d):
                     layer.set_buffers(entries)
-
-    def predict(self, x):
-        probs = self.forward(x, train=False)
-        return ModelOutput(probs=probs, logits=self._logits)
 
 
 class CRNN:
@@ -345,8 +324,7 @@ class CRNN:
         v = self.feat_pool.forward(h, train)
         v = self.drop1.forward(self.relu1.forward(self.fc1.forward(v, train), train), train)
         v = self.drop2.forward(self.relu2.forward(self.fc2.forward(v, train), train), train)
-        self._logits = self.fc3.forward(v, train)
-        return softmax(self._logits)
+        return softmax(self.fc3.forward(v, train))
 
     def backward(self, dlogits):
         d = self.fc3.backward(dlogits)
@@ -383,10 +361,6 @@ class CRNN:
             for layer in block:
                 if isinstance(layer, BatchNorm2d):
                     layer.set_buffers(entries)
-
-    def predict(self, x):
-        probs = self.forward(x, train=False)
-        return ModelOutput(probs=probs, logits=self._logits)
 
 
 def build_model(name, n_classes, patch_width=128, seed=0, gru_hidden=512,

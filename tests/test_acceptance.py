@@ -16,7 +16,6 @@ from respdl import dsp, harness, ingest, models
 from respdl.augment import LabeledBatch, MixupConfig, duplicate_to_min, mixup
 from respdl.cli import main as cli_main
 from respdl.harness import compute_metrics
-from respdl.ingest import RespiratoryCycle
 from respdl.nn import TrainConfig, cross_entropy, l2_penalty, softmax, Param
 from respdl.nn.gradcheck import standard_suite
 
@@ -156,9 +155,8 @@ class TestAcceptance:
                f"peak={peak:.2f}Hz, {elapsed:.1f}s")
 
     def test_augmentation_laws(self, rng):
-        cycle = RespiratoryCycle(rng.standard_normal(20000), 1, "r", "p", "c")
-        once = duplicate_to_min(cycle, 6.0)
-        ok_dup = len(once.samples) >= 6.0 * 16000
+        once = duplicate_to_min(rng.standard_normal(20000), 6.0)
+        ok_dup = len(once) >= 6.0 * 16000
         ok_idem = duplicate_to_min(once, 6.0) is once
 
         xa = rng.standard_normal((6, 64, 32))
@@ -183,10 +181,10 @@ class TestAcceptance:
         eye = np.eye(4, dtype=np.float32)
         for eid in sorted(synth_features):
             feat = synth_features[eid]
-            for patch in harness._normalized_patches(feat, stats, 32, np.float32):
-                xs.append(patch)
-                ys.append(eye[feat.label])
-        x, y = np.stack(xs), np.stack(ys)
+            patches = harness.normalized_patches(feat.spec, stats, 32, np.float32)
+            xs.append(patches)
+            ys.append(np.repeat(eye[feat.label][None], len(patches), axis=0))
+        x, y = np.concatenate(xs), np.concatenate(ys)
         for name in ("cnn_moe", "crnn"):
             model = models.build_model(name, 4, patch_width=32, seed=17, gru_hidden=64)
             cfg = TrainConfig(epochs=200, batch_size=8, lr=1e-3, seed=17)

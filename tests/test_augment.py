@@ -5,41 +5,32 @@ import pytest
 
 from respdl.augment import LabeledBatch, MixupConfig, duplicate_to_min, mixup, mixup_batch
 from respdl.errors import ParameterError
-from respdl.ingest import RespiratoryCycle
-
-
-def make_cycle(samples):
-    return RespiratoryCycle(
-        samples=np.asarray(samples, dtype=np.float64),
-        class4=2, recording_id="r", patient_id="p", cycle_id="r_c00",
-    )
 
 
 class TestDuplicateToMin:
     def test_three_repetitions(self, rng):
-        cycle = make_cycle(rng.standard_normal(40000))  # 2.5 s
-        out = duplicate_to_min(cycle, 6.0)
-        assert len(out.samples) == 120000  # 7.5 s
-        np.testing.assert_array_equal(out.samples[:40000], cycle.samples)
-        np.testing.assert_array_equal(out.samples[40000:80000], cycle.samples)
-        assert out.class4 == cycle.class4
+        samples = rng.standard_normal(40000)  # 2.5 s
+        out = duplicate_to_min(samples, 6.0)
+        assert len(out) == 120000  # 7.5 s
+        np.testing.assert_array_equal(out[:40000], samples)
+        np.testing.assert_array_equal(out[40000:80000], samples)
 
     def test_long_enough_unchanged(self, rng):
-        cycle = make_cycle(rng.standard_normal(128000))  # 8 s
-        out = duplicate_to_min(cycle, 6.0)
-        assert out is cycle
+        samples = rng.standard_normal(128000)  # 8 s
+        out = duplicate_to_min(samples, 6.0)
+        assert out is samples
 
     def test_idempotent_once_long(self, rng):
-        cycle = make_cycle(rng.standard_normal(10000))
-        once = duplicate_to_min(cycle, 3.0)
+        samples = rng.standard_normal(10000)
+        once = duplicate_to_min(samples, 3.0)
         twice = duplicate_to_min(once, 3.0)
         assert twice is once
 
     def test_repetition_period_via_autocorrelation(self):
         t = np.arange(9000)
         base = np.sin(2 * np.pi * 260.0 * t / 16000.0) + 0.1 * np.cos(t)
-        out = duplicate_to_min(make_cycle(base), 2.0)
-        x = out.samples - out.samples.mean()
+        out = duplicate_to_min(base, 2.0)
+        x = out - out.mean()
         ac = np.correlate(x, x, mode="full")[len(x) - 1 :]
         # peak sits exactly at the original cycle length; for r repetitions
         # the unnormalized autocorrelation there approaches (r-1)/r of lag 0
@@ -50,7 +41,7 @@ class TestDuplicateToMin:
 
     def test_empty_cycle_rejected(self):
         with pytest.raises(ParameterError):
-            duplicate_to_min(make_cycle([]), 1.0)
+            duplicate_to_min(np.zeros(0), 1.0)
 
 
 class TestMixup:

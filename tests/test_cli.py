@@ -5,8 +5,8 @@ import os
 import numpy as np
 import pytest
 
-from respdl import ingest
-from respdl.cli import CONFIG_KEYS, build_parser, main
+from respdl import harness, ingest
+from respdl.cli import CONFIG_KEYS, _load_model, build_parser, main
 
 from conftest import write_raw_wav
 
@@ -234,6 +234,65 @@ class TestEvalAndPredict:
         assert code == 0
         out = capsys.readouterr().out
         assert "score=" in out
+
+    def _eval(self, trained_run, cli_dataset, *flags):
+        return run_cli(
+            "eval", "--checkpoint", str(trained_run / "ckpt_cnn_moe_fold0.rsdl"),
+            "--audio-dir", str(cli_dataset),
+            "--diagnosis-file", str(cli_dataset / "diagnosis.csv"), "--fold", "0", *flags,
+        )
+
+    def test_eval_takes_min_cycle_seconds_from_checkpoint(self, trained_run, cli_dataset,
+                                                          capsys, monkeypatch):
+        assert self._eval(trained_run, cli_dataset, "--min-cycle-seconds", "0.5") == 0
+        with_flag = capsys.readouterr().out
+        build, lengths = harness.build_features, []
+
+        def spy(manifest, task, min_cycle_seconds, bank=None):
+            lengths.append(min_cycle_seconds)
+            return build(manifest, task, min_cycle_seconds, bank)
+
+        monkeypatch.setattr(harness, "build_features", spy)
+        assert self._eval(trained_run, cli_dataset) == 0
+        assert capsys.readouterr().out == with_flag
+        assert lengths == [0.5]
+
+    @pytest.mark.parametrize("flag,value", [("--min-cycle-seconds", "6"),
+                                            ("--patch-width", "64"),
+                                            ("--task", "Task1_2class")])
+    def test_eval_flag_conflicting_with_checkpoint_is_usage_error(self, trained_run,
+                                                                  cli_dataset, flag, value,
+                                                                  capsys):
+        assert self._eval(trained_run, cli_dataset, flag, value) == 1
+        assert flag in capsys.readouterr().err
+
+    def test_predict_matches_training_front_end(self, trained_run, tmp_path, capsys):
+        # one 16 kHz recording whose single cycle spans the whole file; at
+        # 0.3 s it is also duplicated up to the checkpoint's 0.5 s minimum
+        wav = tmp_path / "103_a.wav"
+        samples = 0.1 * np.random.default_rng(5).standard_normal(4800)
+        ingest.write_wav(wav, samples, 16000)
+        (tmp_path / "103_a.txt").write_text("0.0 0.3 1 0\n")
+        (tmp_path / "diag.csv").write_text("103,COPD\n")
+        ckpt = trained_run / "ckpt_cnn_moe_fold0.rsdl"
+        assert run_cli("predict", "--model", str(ckpt), "--wav", str(wav)) == 0
+        printed = [float(v) for v in capsys.readouterr().out.splitlines()[1].split(",")]
+
+        manifest = ingest.build_manifest(tmp_path, tmp_path / "diag.csv", "Task1_4class")
+        (eid, feat), = harness.build_features(manifest, "Task1_4class", 0.5).items()
+        model, _, stats = _load_model(ckpt)
+        probs = harness.evaluate_entities(
+            model, {eid: harness.normalized_patches(feat.spec, stats, 32)})[eid]
+        np.testing.assert_allclose(printed, probs, rtol=0, atol=1e-6)
+
+    def test_predict_on_recording_resampled_to_nothing_is_data_error(self, trained_run,
+                                                                     tmp_path, capsys):
+        wav = tmp_path / "x.wav"
+        write_raw_wav(wav, 1, 16, 1, 44100, b"\x10\x00")  # resamples to 0 samples
+        code = run_cli("predict", "--model", str(trained_run / "ckpt_cnn_moe_fold0.rsdl"),
+                       "--wav", str(wav))
+        assert code == 2
+        assert "x.wav" in capsys.readouterr().err
 
     def test_predict_prints_simplex_csv(self, trained_run, cli_dataset, capsys):
         wav = sorted(cli_dataset.glob("*.wav"))[0]

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from respdl import harness, ingest, synth
+from respdl import dsp, harness, ingest, synth
 from respdl.errors import FormatError, NumericalError, ParameterError
 from respdl.harness import (
     CYCLE_SWEEP_LENGTHS,
@@ -143,6 +143,53 @@ class TestBuildFeatures:
         with pytest.raises(FormatError, match="102_a.wav"):
             harness.build_features(manifest, "Task2_3class", 0.0)
 
+    @staticmethod
+    def _one_sample_manifest(tmp_path, task):
+        # one 44.1 kHz sample resamples to round(16000/44100) = 0 samples
+        write_raw_wav(tmp_path / "102_a.wav", 1, 16, 1, 44100, b"\x10\x00")
+        (tmp_path / "102_a.txt").write_text("0.0 1.0 0 0\n")
+        (tmp_path / "diag.csv").write_text("102,COPD\n")
+        return ingest.build_manifest(tmp_path, tmp_path / "diag.csv", task)
+
+    def test_recording_resampled_to_nothing_in_task2_is_format_error(self, tmp_path):
+        manifest = self._one_sample_manifest(tmp_path, "Task2_3class")
+        with pytest.raises(FormatError, match="102_a.wav"):
+            harness.build_features(manifest, "Task2_3class", 0.0)
+
+    def test_recording_resampled_to_nothing_in_task1_yields_no_cycle(self, tmp_path):
+        # its only cycle starts at or beyond the end of the audio and is skipped
+        manifest = self._one_sample_manifest(tmp_path, "Task1_4class")
+        assert harness.build_features(manifest, "Task1_4class", 6.0) == {}
+
+
+class TestFrontEnd:
+    def test_short_waveform_repeated_to_one_window(self, rng):
+        bank = dsp.build_gammatone_bank()
+        x = rng.standard_normal(500)
+        spec = harness.entity_spectrogram(x, 0.0, bank, "x.wav")
+        expected = dsp.gammatone_spectrogram(np.tile(x, 3), bank).values
+        np.testing.assert_array_equal(spec, expected)
+
+    def test_short_waveform_repeated_to_min_seconds(self, rng):
+        bank = dsp.build_gammatone_bank()
+        x = rng.standard_normal(3000)
+        spec = harness.entity_spectrogram(x, 0.5, bank, "x.wav")
+        expected = dsp.gammatone_spectrogram(np.tile(x, 3), bank).values  # 9000 >= 8000
+        np.testing.assert_array_equal(spec, expected)
+
+    def test_empty_waveform_names_its_source(self):
+        with pytest.raises(FormatError, match="x.wav"):
+            harness.entity_spectrogram(np.zeros(0), 6.0, dsp.build_gammatone_bank(), "x.wav")
+
+    def test_normalization_applied(self, rng):
+        spec = rng.standard_normal((64, 100)) * 3.0 + 1.0
+        stats = dsp.NormStats(mean=2.0, std=4.0)
+        patches = harness.normalized_patches(spec, stats, 32)
+        assert patches.dtype == np.float32
+        assert patches.shape == (4, 64, 32)
+        np.testing.assert_array_equal(patches[0], ((spec[:, :32] - 2.0) / 4.0).astype(np.float32))
+        np.testing.assert_array_equal(patches[3], ((spec[:, 68:] - 2.0) / 4.0).astype(np.float32))
+
 
 class TestRunFold:
     def test_history_length_equals_epochs(self, quick_result):
@@ -213,6 +260,20 @@ class TestRunCV:
             cols = line.split(",")
             spec, sen, score = float(cols[3]), float(cols[4]), float(cols[5])
             assert score == (spec + sen) / 2.0  # exact, not approximate
+
+    def test_two_jobs_bit_identical_to_one(self, synth_features, synth_folds):
+        results = {}
+        for jobs in (1, 2):
+            cfg = desk_config(train=TrainConfig(epochs=1, batch_size=8, lr=1e-3, seed=13),
+                              early_stop_acc=0.0, jobs=jobs)
+            results[jobs] = harness.run_cv(cfg, synth_features, synth_folds, fold_ids=[0, 1])
+        assert harness.report_csv(results[2]) == harness.report_csv(results[1])
+        for one, two in zip(results[1].fold_results, results[2].fold_results):
+            assert one.fold_id == two.fold_id
+            snap_one, snap_two = one.checkpoints["cnn_moe"], two.checkpoints["cnn_moe"]
+            assert snap_one.keys() == snap_two.keys()
+            for key in snap_one:
+                np.testing.assert_array_equal(snap_one[key], snap_two[key])
 
     def test_duplicated_fold_mean_equals_each(self, synth_features, synth_folds):
         m = harness._mean_metrics([

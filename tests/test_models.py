@@ -134,13 +134,6 @@ class TestModelOutputs:
                 np.testing.assert_allclose(p.sum(axis=1), 1.0, atol=1e-5)
                 assert np.all(p >= 0)
 
-    def test_predict_returns_output_record(self, rng):
-        m = models.CNNMoE(3, patch_width=32, seed=0)
-        m.forward(rng.standard_normal((2, 64, 32)).astype(np.float32), train=True)
-        out = m.predict(rng.standard_normal((2, 64, 32)).astype(np.float32))
-        assert isinstance(out, models.ModelOutput)
-        assert out.logits.shape == (2, 3)
-
 
 class TestAggregateAndFuse:
     def test_single_patch_unchanged(self):
