@@ -17,14 +17,13 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 
 from . import dsp, harness, ingest, models, synth
 from .errors import NumericalError, ParameterError, ParseError, RespdlError
-from .nn import Param, TrainConfig, assign_params, load_checkpoint, save_checkpoint
+from .harness import CONFIG_KEYS
 from .nn.gradcheck import standard_suite
 
 CACHE_ENV = "RESPDL_CACHE"
@@ -58,10 +57,9 @@ CONFIG_HELP = {
     "seed": "training seed (init, shuffling, dropout, mixup)",
 }
 
-CONFIG_KEYS = tuple(
-    [f.name for f in fields(harness.ExperimentConfig) if f.name != "train"]
-    + [f.name for f in fields(TrainConfig)]
-)
+# Data paths: eval takes them from the command line when given, since a
+# checkpoint may be scored where its training data lives elsewhere.
+DEPLOYMENT_KEYS = ("audio_dir", "diagnosis_file")
 
 
 class UsageError(Exception):
@@ -99,17 +97,16 @@ def parse_config_file(path) -> dict:
     return values
 
 
-def build_config(args) -> harness.ExperimentConfig:
-    cfg = harness.ExperimentConfig()
+def build_config(args, base: harness.ExperimentConfig | None = None) -> harness.ExperimentConfig:
+    """``base`` (default: the built-in defaults), then the config file, then flags."""
     try:
-        if getattr(args, "config", None):
-            cfg = harness.config_from_dict(parse_config_file(args.config), cfg)
-        overrides = {
+        values = parse_config_file(args.config) if getattr(args, "config", None) else {}
+        values.update({
             key: getattr(args, f"cfg_{key}")
             for key in CONFIG_KEYS
             if getattr(args, f"cfg_{key}", None) is not None
-        }
-        return harness.config_from_dict(overrides, cfg)
+        })
+        return harness.config_from_dict(values, base)
     except ParameterError as exc:
         raise UsageError(str(exc)) from exc
 
@@ -152,7 +149,8 @@ def build_parser() -> _Parser:
     p = sub.add_parser("eval", help="evaluate a checkpoint on its held-out fold")
     _add_config_flags(p)
     p.add_argument("--checkpoint", required=True)
-    p.add_argument("--fold", type=int, default=0)
+    p.add_argument("--fold", type=int, default=None,
+                   help="must match the checkpoint's fold")
 
     p = sub.add_parser("sweep-cycle", help="minimum-cycle-length sweep (Task 1)")
     _add_config_flags(p)
@@ -202,38 +200,13 @@ def _run_dir(cfg: harness.ExperimentConfig) -> Path:
     return run_dir
 
 
-def _checkpoint_tag(cfg: harness.ExperimentConfig, model_name: str) -> str:
-    return (f"task={cfg.task},model={model_name},width={cfg.patch_width},"
-            f"hidden={cfg.gru_hidden},experts={cfg.moe_experts},"
-            f"min={cfg.min_cycle_seconds}")
-
-
-def _load_model(path):
-    """The model a checkpoint holds, its tag fields and its norm stats."""
-    tag, entries = load_checkpoint(path)
-    kv = dict(part.split("=", 1) for part in tag.split(","))
-    model = models.build_model(
-        kv["model"],
-        len(ingest.TASK_CLASS_NAMES[kv["task"]]),
-        patch_width=int(kv["width"]),
-        gru_hidden=int(kv["hidden"]),
-        n_experts=int(kv["experts"]),
-    )
-    assign_params(model.params(), entries)
-    model.set_buffers(entries)
-    stats = dsp.NormStats(mean=float(entries["norm.mean"][0]),
-                          std=float(entries["norm.std"][0]))
-    return model, kv, stats
-
-
 def _save_fold_outputs(run_dir: Path, cfg, result: harness.FoldResult):
     for name, history in result.histories.items():
         path = run_dir / f"history_{name}_fold{result.fold_id}.csv"
         path.write_text(harness.history_csv(history))
     for name, snap in result.checkpoints.items():
         ckpt = run_dir / f"ckpt_{name}_fold{result.fold_id}.rsdl"
-        entries = [Param(k, v) for k, v in sorted(snap.items())]
-        save_checkpoint(ckpt, _checkpoint_tag(cfg, name), entries)
+        harness.save_fold_checkpoint(ckpt, cfg, name, result.fold_id, result.stats, snap)
         card = run_dir / f"ckpt_{name}_fold{result.fold_id}.card.txt"
         card.write_text(harness.model_card(cfg, name, result.fold_id))
 
@@ -311,8 +284,8 @@ def cmd_train(args) -> int:
     except NumericalError as exc:
         if hasattr(exc, "last_good"):
             path = run_dir / f"ckpt_{exc.model_name}_fold{exc.fold_id}.aborted.rsdl"
-            entries = [Param(k, v) for k, v in sorted(exc.last_good.items())]
-            save_checkpoint(path, _checkpoint_tag(cfg, exc.model_name), entries)
+            harness.save_fold_checkpoint(path, cfg, exc.model_name, exc.fold_id, exc.stats,
+                                         exc.last_good)
             print(f"NaN abort; last good checkpoint saved to {path}", file=sys.stderr)
         raise
     (run_dir / "report.csv").write_text(harness.report_csv(result))
@@ -325,26 +298,25 @@ def cmd_train(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    cfg = build_config(args)
-    model, kv, stats = _load_model(args.checkpoint)
-    trained = harness.config_from_dict(
-        {"task": kv["task"], "patch_width": kv["width"], "min_cycle_seconds": kv["min"]}, cfg
-    )
-    for key in ("task", "patch_width", "min_cycle_seconds"):
-        if getattr(args, f"cfg_{key}") is not None and getattr(cfg, key) != getattr(trained, key):
-            raise UsageError(f"--{key.replace('_', '-')} {getattr(cfg, key)} differs from "
-                             f"the checkpoint's {getattr(trained, key)}")
-    cfg = trained
+    ckpt = harness.load_fold_checkpoint(args.checkpoint)
+    cfg = build_config(args, base=ckpt.config)
+    trained, asked = harness.config_to_dict(ckpt.config), harness.config_to_dict(cfg)
+    for key in CONFIG_KEYS:
+        if key not in DEPLOYMENT_KEYS and asked[key] != trained[key]:
+            raise UsageError(f"--{key.replace('_', '-')} {asked[key]} differs from "
+                             f"the checkpoint's {trained[key]}")
+    if args.fold is not None and args.fold != ckpt.fold_id:
+        raise UsageError(f"--fold {args.fold} differs from the checkpoint's {ckpt.fold_id}")
 
     _, features, folds = _prepare(cfg)
-    heldout = sorted(e for e in features if folds.assignment[e] == args.fold)
-    groups = {eid: harness.normalized_patches(features[eid].spec, stats, cfg.patch_width)
+    heldout = sorted(e for e in features if folds.assignment[e] == ckpt.fold_id)
+    groups = {eid: harness.normalized_patches(features[eid].spec, ckpt.stats, cfg.patch_width)
               for eid in heldout}
-    probs = harness.evaluate_entities(model, groups)
+    probs = harness.evaluate_entities(ckpt.model, groups)
     preds = {eid: int(np.argmax(p)) for eid, p in probs.items()}
     truths = {eid: features[eid].label for eid in heldout}
     metrics = harness.compute_metrics(preds, truths, cfg.task)
-    _print_metrics(f"fold {args.fold}:", metrics)
+    _print_metrics(f"fold {ckpt.fold_id}:", metrics)
     return 0
 
 
@@ -379,16 +351,17 @@ def cmd_sweep_timeres(args) -> int:
 
 
 def cmd_predict(args) -> int:
-    model, kv, stats = _load_model(args.checkpoint)
+    ckpt = harness.load_fold_checkpoint(args.checkpoint)
+    cfg = ckpt.config
     wav = Path(args.wav)
     # the checkpoint's minimum cycle length; whole recordings get one window
-    by_cycle = ingest.task_entity_level(kv["task"]) == "cycle"
+    by_cycle = ingest.task_entity_level(cfg.task) == "cycle"
     spec = harness.entity_spectrogram(harness.load_recording(wav).samples,
-                                      float(kv["min"]) if by_cycle else 0.0,
+                                      cfg.min_cycle_seconds if by_cycle else 0.0,
                                       dsp.build_gammatone_bank(), wav.name)
-    patches = harness.normalized_patches(spec, stats, int(kv["width"]))
-    probs = models.aggregate_patches(model.forward(patches, train=False))
-    print(",".join(ingest.TASK_CLASS_NAMES[kv["task"]]))
+    patches = harness.normalized_patches(spec, ckpt.stats, cfg.patch_width)
+    probs = models.aggregate_patches(ckpt.model.forward(patches, train=False))
+    print(",".join(ingest.TASK_CLASS_NAMES[cfg.task]))
     print(",".join(f"{p:.6f}" for p in probs))
     return 0
 

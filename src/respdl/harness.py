@@ -1,6 +1,6 @@
 """Experiment orchestration: feature preparation, per-fold training and
-entity-level evaluation, cross-validation, challenge metrics, and the
-cycle-length / time-resolution sweeps.
+entity-level evaluation, cross-validation, challenge metrics, fold
+checkpoints, and the cycle-length / time-resolution sweeps.
 
 Evaluation is always at entity level (cycles for Task 1, recordings for
 Task 2): patch probabilities are averaged per entity, the argmax is the
@@ -22,7 +22,15 @@ import numpy as np
 from . import dsp, ingest, models
 from .augment import LabeledBatch, MixupConfig, duplicate_to_min, mixup_batch
 from .errors import FormatError, NumericalError, ParameterError
-from .nn import Adam, TrainConfig, add_l2_grads, loss_ce_l2, save_checkpoint
+from .nn import (
+    Adam,
+    TrainConfig,
+    add_l2_grads,
+    assign_params,
+    load_checkpoint,
+    loss_ce_l2,
+    save_checkpoint,
+)
 
 log = logging.getLogger(__name__)
 
@@ -82,18 +90,13 @@ class ExperimentConfig:
 
 
 _TRAIN_KEYS = tuple(f.name for f in fields(TrainConfig))
+CONFIG_KEYS = tuple(f.name for f in fields(ExperimentConfig) if f.name != "train") + _TRAIN_KEYS
 
 
 def config_to_dict(cfg: ExperimentConfig) -> dict[str, str]:
     """Flatten to string key=value pairs (TrainConfig fields at top level)."""
-    out = {}
-    for f in fields(ExperimentConfig):
-        if f.name == "train":
-            continue
-        out[f.name] = str(getattr(cfg, f.name))
-    for key in _TRAIN_KEYS:
-        out[key] = str(getattr(cfg.train, key))
-    return out
+    return {key: str(getattr(cfg.train if key in _TRAIN_KEYS else cfg, key))
+            for key in CONFIG_KEYS}
 
 
 def _parse_value(key: str, text: str, target_type):
@@ -136,6 +139,64 @@ def config_text(cfg: ExperimentConfig) -> str:
 
 def config_hash(cfg: ExperimentConfig) -> str:
     return hashlib.sha256(config_text(cfg).encode()).hexdigest()[:12]
+
+
+# ---------------------------------------------------------------------------
+# Checkpoints
+# ---------------------------------------------------------------------------
+
+_MEMBER_KEYS = ("member", "fold", "norm_mean", "norm_std")
+
+
+def build_member(config: ExperimentConfig, name: str, seed=0, dtype=np.float32):
+    """An untrained ``name`` model ("cnn_moe" or "crnn") sized by ``config``."""
+    return models.build_model(name, config.n_classes, patch_width=config.patch_width,
+                              seed=seed, gru_hidden=config.gru_hidden,
+                              n_experts=config.moe_experts, dtype=dtype)
+
+
+@dataclass
+class FoldCheckpoint:
+    """One trained member of one fold, rebuilt from its checkpoint file."""
+
+    config: ExperimentConfig
+    fold_id: int
+    stats: dsp.NormStats
+    model: models.Sequential
+
+
+def save_fold_checkpoint(path, config: ExperimentConfig, model_name: str, fold_id: int,
+                         stats: dsp.NormStats, arrays: dict) -> None:
+    """Write one member's parameters and buffers under a header holding the
+    run's ``config_text``, the member, the fold and the norm statistics
+    (``repr`` floats, so they round-trip exactly)."""
+    header = config_text(config) + (
+        f"member={model_name}\nfold={fold_id}\n"
+        f"norm_mean={stats.mean!r}\nnorm_std={stats.std!r}\n"
+    )
+    save_checkpoint(path, header, arrays)
+
+
+def load_fold_checkpoint(path) -> FoldCheckpoint:
+    """Read a checkpoint written by ``save_fold_checkpoint`` and rebuild its
+    model. A header field that is missing, unknown or unparsable is a
+    FormatError."""
+    header, arrays = load_checkpoint(path)
+    values = dict(line.partition("=")[::2] for line in header.splitlines())
+    missing = [key for key in CONFIG_KEYS + _MEMBER_KEYS if key not in values]
+    if missing:
+        raise FormatError(f"{path}: checkpoint header lacks {', '.join(missing)}")
+    member = {key: values.pop(key) for key in _MEMBER_KEYS}
+    try:
+        config = config_from_dict(values)
+        stats = dsp.NormStats(mean=float(member["norm_mean"]), std=float(member["norm_std"]))
+        fold_id = int(member["fold"])
+        model = build_member(config, member["member"])
+        model.set_buffers(arrays)
+    except (KeyError, ValueError, ParameterError) as exc:
+        raise FormatError(f"{path}: bad checkpoint header or entries: {exc}") from None
+    assign_params(model.params(), arrays)
+    return FoldCheckpoint(config, fold_id, stats, model)
 
 
 # ---------------------------------------------------------------------------
@@ -432,15 +493,7 @@ def run_fold(
     for model_index, name in enumerate(_model_names(config)):
         seed_seq = np.random.SeedSequence(_fold_seed(config, fold_id, model_index))
         init_seed, loop_seed = (int(s.generate_state(1)[0]) for s in seed_seq.spawn(2))
-        model = models.build_model(
-            name,
-            n_classes,
-            patch_width=config.patch_width,
-            seed=init_seed,
-            gru_hidden=config.gru_hidden,
-            n_experts=config.moe_experts,
-            dtype=dtype,
-        )
+        model = build_member(config, name, seed=init_seed, dtype=dtype)
         best = {"score": -1.0, "snap": _snapshot(model)}
 
         def score_fn(m, epoch, _best=best):
@@ -469,16 +522,14 @@ def run_fold(
             exc.last_good = _snapshot(model)
             exc.model_name = name
             exc.fold_id = fold_id
+            exc.stats = stats
             log.error("fold %d %s: NaN abort, retaining last good snapshot", fold_id, name)
             raise
         if config.select == "best":
             _restore(model, best["snap"])
         histories[name] = history
         accs[name] = train_accs
-        snap = _snapshot(model)
-        snap["norm.mean"] = np.array([stats.mean])
-        snap["norm.std"] = np.array([stats.std])
-        checkpoints[name] = snap
+        checkpoints[name] = _snapshot(model)
         entity_probs[name] = evaluate_entities(model, heldout_groups)
 
     component_metrics = {}
@@ -488,9 +539,7 @@ def run_fold(
 
     if config.model == "ensemble":
         fused = {
-            eid: models.ensemble_fuse(
-                entity_probs["cnn_moe"][eid], entity_probs["crnn"][eid]
-            ).fused
+            eid: models.ensemble_fuse(entity_probs["cnn_moe"][eid], entity_probs["crnn"][eid])
             for eid in heldout_ids
         }
         preds = {eid: int(np.argmax(p)) for eid, p in fused.items()}

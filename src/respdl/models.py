@@ -2,15 +2,16 @@
 
 CNN-MoE: six batch-normalized 3x3 convolution blocks collapse a 64-frame
 patch to a 512-vector (global average pooling), which a mixture-of-experts
-layer maps to class probabilities: softmax over the gate-weighted sum of
-rectified expert outputs.
+layer maps to class logits: the gate-weighted sum of rectified expert
+outputs.
 
 C-RNN: four frequency-only 4x1 convolution blocks collapse the 64 bands to
 one, leaving a per-frame 512-dim sequence; a bidirectional GRU doubles the
 frame count, per-frame feature averaging yields one value per frame, and
-three dense layers classify.
+three dense layers produce the logits.
 
-Both forward passes produce row-stochastic outputs; training drives them
+Both share ``Sequential``: conv blocks, then a head, then one softmax, so
+their forward passes produce row-stochastic outputs; training drives them
 through the fused softmax+cross-entropy backward, entered via
 ``backward(dlogits)``.
 
@@ -19,8 +20,6 @@ other widths reuse the same pooling schedule and must stay divisible.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -62,22 +61,12 @@ CRNN_TRACE_128 = (
 )
 
 
-@dataclass
-class EnsembleOutput:
-    """Element-wise mean of the two models' probabilities."""
-
-    fused: np.ndarray
-    cnn_moe: np.ndarray
-    crnn: np.ndarray
-
-
 class MoELayer:
     """Mixture of experts over a feature vector.
 
     Each expert is a rectified dense map to the class space; a softmax gate
-    weights the expert outputs and one final softmax produces the class
-    distribution. The trailing softmax is the only one; it is not applied
-    twice.
+    weights the expert outputs. The weighted sum is returned as logits: the
+    model's trailing softmax is the only one over the classes.
     """
 
     def __init__(self, in_dim, n_classes, n_experts, rng, name="moe", dtype=np.float32):
@@ -96,9 +85,8 @@ class MoELayer:
         e_pre = np.einsum("bi,jin->bjn", x, self.expert_w.data) + self.expert_b.data
         e = np.maximum(e_pre, 0.0)
         g = softmax(self.gate.forward(x, train))
-        logits = np.einsum("bjn,bj->bn", e, g)
         self._cache = (x, e_pre > 0, e, g)
-        return softmax(logits), logits
+        return np.einsum("bjn,bj->bn", e, g)
 
     def backward(self, dlogits):
         x, mask, e, g = self._cache
@@ -117,6 +105,19 @@ class MoELayer:
     def gate_weights(self, x):
         """Gate distribution for inspection; rows lie on the simplex."""
         return softmax(x @ self.gate.w.data + self.gate.b.data)
+
+
+class _DropFreq:
+    """(B, 1, T, C) -> (B, T, C) once the conv front has collapsed frequency."""
+
+    def forward(self, x, train=False):
+        return x[:, 0]
+
+    def backward(self, dout):
+        return dout[:, None]
+
+    def params(self):
+        return []
 
 
 def _conv_block(in_ch, out_ch, kernel, pool, p_drop, rng, drop_rng, name, dtype,
@@ -140,7 +141,60 @@ def _spawn_rngs(seed, n):
     return [np.random.default_rng(s) for s in np.random.SeedSequence(seed).spawn(n)]
 
 
-class CNNMoE:
+class Sequential:
+    """Conv blocks over (B, 64, W) patches, a head that returns logits, and
+    one trailing softmax.
+
+    A subclass sets ``name``, ``patch_width``, ``blocks`` (lists of
+    layers), ``head`` (the layers after the blocks, in forward order; each
+    is also a model attribute, where per-layer instrumentation finds it)
+    and ``_trace``. Layer order fixes the order of ``params()``, which the
+    optimizer state follows.
+    """
+
+    def _layers(self):
+        for block in self.blocks:
+            yield from block
+        yield from self.head
+
+    def shape_trace(self):
+        """Per-block output shapes, then the head's, then the class count."""
+        return self._trace
+
+    def forward(self, x, train=False):
+        if x.ndim == 3:
+            x = x[:, :, :, None]  # (B, freq, time) -> channels-last
+        if x.shape[1] != 64 or x.shape[2] != self.patch_width:
+            raise ShapeError(
+                f"{self.name}: expected (B,64,{self.patch_width}) patches, got {x.shape}"
+            )
+        for layer in self._layers():
+            x = layer.forward(x, train)
+        return softmax(x)
+
+    def backward(self, dlogits):
+        d = dlogits
+        for layer in reversed(list(self._layers())):
+            d = layer.backward(d)
+        return d[:, :, :, 0]
+
+    def params(self):
+        return [p for layer in self._layers() for p in layer.params()]
+
+    def get_buffers(self):
+        out = {}
+        for layer in self._layers():
+            if isinstance(layer, BatchNorm2d):
+                out.update(layer.get_buffers())
+        return out
+
+    def set_buffers(self, entries):
+        for layer in self._layers():
+            if isinstance(layer, BatchNorm2d):
+                layer.set_buffers(entries)
+
+
+class CNNMoE(Sequential):
     """Six 3x3 conv blocks + global average pooling + mixture of experts."""
 
     name = "cnn_moe"
@@ -178,6 +232,7 @@ class CNNMoE:
             )
             in_ch = out_ch
         self.moe = MoELayer(512, n_classes, n_experts, init_rng, dtype=dtype)
+        self.head = (self.moe,)
         self._trace = self._compute_trace(patch_width)
         if patch_width == 128:
             expected = CNN_MOE_TRACE_128 + ((n_classes,),)
@@ -196,54 +251,8 @@ class CNNMoE:
         trace.append((self.n_classes,))
         return tuple(trace)
 
-    def shape_trace(self):
-        """Per-block output shapes as (freq, time, channels) tuples."""
-        return self._trace
 
-    def forward(self, x, train=False):
-        if x.ndim == 3:
-            x = x[:, :, :, None]  # (B, freq, time) -> channels-last
-        if x.shape[1] != 64 or x.shape[2] != self.patch_width:
-            raise ShapeError(
-                f"cnn_moe: expected (B,64,{self.patch_width}) patches, got {x.shape}"
-            )
-        for block in self.blocks:
-            for layer in block:
-                x = layer.forward(x, train)
-        probs, _ = self.moe.forward(x, train)
-        return probs
-
-    def backward(self, dlogits):
-        d = self.moe.backward(dlogits)
-        for block in reversed(self.blocks):
-            for layer in reversed(block):
-                d = layer.backward(d)
-        return d[:, :, :, 0]
-
-    def params(self):
-        out = []
-        for block in self.blocks:
-            for layer in block:
-                out.extend(layer.params())
-        out.extend(self.moe.params())
-        return out
-
-    def get_buffers(self):
-        out = {}
-        for block in self.blocks:
-            for layer in block:
-                if isinstance(layer, BatchNorm2d):
-                    out.update(layer.get_buffers())
-        return out
-
-    def set_buffers(self, entries):
-        for block in self.blocks:
-            for layer in block:
-                if isinstance(layer, BatchNorm2d):
-                    layer.set_buffers(entries)
-
-
-class CRNN:
+class CRNN(Sequential):
     """Frequency-collapsing conv front, bi-GRU, per-frame feature averaging,
     three dense layers."""
 
@@ -274,6 +283,7 @@ class CRNN:
                             f"block{i}", dtype)
             )
             in_ch = out_ch
+        self.drop_freq = _DropFreq()
         self.gru = BiGRU(512, gru_hidden, init_rng, dtype=dtype)
         self.feat_pool = FeatureAveragePool()
         self.fc1 = Dense(2 * patch_width, 1024, init_rng, name="fc1", dtype=dtype)
@@ -283,6 +293,8 @@ class CRNN:
         self.relu2 = ReLU()
         self.drop2 = Dropout(dropout_rates[5], drop_rng)
         self.fc3 = Dense(1024, n_classes, init_rng, name="fc3", dtype=dtype)
+        self.head = (self.drop_freq, self.gru, self.feat_pool, self.fc1, self.relu1,
+                     self.drop1, self.fc2, self.relu2, self.drop2, self.fc3)
         self._trace = self._compute_trace(patch_width)
         if patch_width == 128 and gru_hidden == 512:
             expected = CRNN_TRACE_128 + ((n_classes,),)
@@ -304,64 +316,6 @@ class CRNN:
         trace.append((self.n_classes,))
         return tuple(trace)
 
-    def shape_trace(self):
-        return self._trace
-
-    def forward(self, x, train=False):
-        if x.ndim == 3:
-            x = x[:, :, :, None]  # (B, freq, time) -> channels-last
-        if x.shape[1] != 64 or x.shape[2] != self.patch_width:
-            raise ShapeError(
-                f"crnn: expected (B,64,{self.patch_width}) patches, got {x.shape}"
-            )
-        for block in self.blocks:
-            for layer in block:
-                x = layer.forward(x, train)
-        if x.shape[1] != 1:
-            raise ShapeError(f"conv front left freq dim {x.shape[1]}, expected 1")
-        seq = x[:, 0]  # (B, T, 512), channels-last makes this a plain view
-        h = self.gru.forward(seq, train)
-        v = self.feat_pool.forward(h, train)
-        v = self.drop1.forward(self.relu1.forward(self.fc1.forward(v, train), train), train)
-        v = self.drop2.forward(self.relu2.forward(self.fc2.forward(v, train), train), train)
-        return softmax(self.fc3.forward(v, train))
-
-    def backward(self, dlogits):
-        d = self.fc3.backward(dlogits)
-        d = self.fc2.backward(self.relu2.backward(self.drop2.backward(d)))
-        d = self.fc1.backward(self.relu1.backward(self.drop1.backward(d)))
-        d = self.feat_pool.backward(d)
-        dseq = self.gru.backward(d)
-        dx = dseq[:, None, :, :]  # back to (B, 1, T, C)
-        for block in reversed(self.blocks):
-            for layer in reversed(block):
-                dx = layer.backward(dx)
-        return dx[:, :, :, 0]
-
-    def params(self):
-        out = []
-        for block in self.blocks:
-            for layer in block:
-                out.extend(layer.params())
-        out.extend(self.gru.params())
-        for lyr in (self.fc1, self.fc2, self.fc3):
-            out.extend(lyr.params())
-        return out
-
-    def get_buffers(self):
-        out = {}
-        for block in self.blocks:
-            for layer in block:
-                if isinstance(layer, BatchNorm2d):
-                    out.update(layer.get_buffers())
-        return out
-
-    def set_buffers(self, entries):
-        for block in self.blocks:
-            for layer in block:
-                if isinstance(layer, BatchNorm2d):
-                    layer.set_buffers(entries)
-
 
 def build_model(name, n_classes, patch_width=128, seed=0, gru_hidden=512,
                 n_experts=10, dtype=np.float32):
@@ -382,10 +336,10 @@ def aggregate_patches(patch_probs) -> np.ndarray:
     return np.mean(rows, axis=0)
 
 
-def ensemble_fuse(p_a: np.ndarray, p_b: np.ndarray) -> EnsembleOutput:
+def ensemble_fuse(p_a: np.ndarray, p_b: np.ndarray) -> np.ndarray:
     """Average the two models' probabilities element-wise."""
     p_a = np.asarray(p_a, dtype=np.float64)
     p_b = np.asarray(p_b, dtype=np.float64)
     if p_a.shape != p_b.shape:
         raise ParameterError(f"ensemble shapes differ: {p_a.shape} vs {p_b.shape}")
-    return EnsembleOutput(fused=(p_a + p_b) / 2.0, cnn_moe=p_a, crnn=p_b)
+    return (p_a + p_b) / 2.0

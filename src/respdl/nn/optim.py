@@ -62,20 +62,3 @@ class Adam:
     def zero_grad(self):
         for p in self.params:
             p.zero_grad()
-
-    def state_entries(self):
-        """Flat (name, array) pairs for checkpointing, plus the step count."""
-        entries = [("opt.t", np.array([self.t], dtype=np.float64))]
-        for p, m, v in zip(self.params, self.m, self.v):
-            entries.append((f"opt.m.{p.name}", m))
-            entries.append((f"opt.v.{p.name}", v))
-        return entries
-
-    def load_state_entries(self, entries: dict):
-        if "opt.t" in entries:
-            self.t = int(entries["opt.t"][0])
-        for i, p in enumerate(self.params):
-            if f"opt.m.{p.name}" in entries:
-                self.m[i] = entries[f"opt.m.{p.name}"].reshape(p.data.shape).astype(p.data.dtype)
-            if f"opt.v.{p.name}" in entries:
-                self.v[i] = entries[f"opt.v.{p.name}"].reshape(p.data.shape).astype(p.data.dtype)

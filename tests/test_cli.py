@@ -1,12 +1,14 @@
 """End-to-end command-line behavior: exit codes, artifacts, precedence."""
 
 import os
+import shutil
 
 import numpy as np
 import pytest
 
 from respdl import harness, ingest
-from respdl.cli import CONFIG_KEYS, _load_model, build_parser, main
+from respdl.cli import CONFIG_KEYS, build_parser, main
+from respdl.errors import NumericalError
 
 from conftest import write_raw_wav
 
@@ -22,9 +24,7 @@ def cli_dataset(tmp_path_factory):
     return d
 
 
-@pytest.fixture(scope="module")
-def trained_run(cli_dataset, tmp_path_factory):
-    out = tmp_path_factory.mktemp("clirun")
+def train_run(cli_dataset, out, *flags):
     code = run_cli(
         "train",
         "--audio-dir", str(cli_dataset),
@@ -34,12 +34,17 @@ def trained_run(cli_dataset, tmp_path_factory):
         "--mixup", "false", "--gru-hidden", "64",
         "--epochs", "2", "--batch-size", "8", "--lr", "1e-3", "--seed", "11",
         "--early-stop-acc", "0",
-        "--out-dir", str(out), "--fold", "0",
+        "--out-dir", str(out), *flags,
     )
     assert code == 0
     runs = list(out.glob("run_*"))
     assert len(runs) == 1
     return runs[0]
+
+
+@pytest.fixture(scope="module")
+def trained_run(cli_dataset, tmp_path_factory):
+    return train_run(cli_dataset, tmp_path_factory.mktemp("clirun"), "--fold", "0")
 
 
 class TestSynth:
@@ -259,12 +264,54 @@ class TestEvalAndPredict:
 
     @pytest.mark.parametrize("flag,value", [("--min-cycle-seconds", "6"),
                                             ("--patch-width", "64"),
-                                            ("--task", "Task1_2class")])
+                                            ("--task", "Task1_2class"),
+                                            ("--k", "4"),
+                                            ("--fold-seed", "8"),
+                                            ("--epochs", "3"),
+                                            ("--fold", "1")])
     def test_eval_flag_conflicting_with_checkpoint_is_usage_error(self, trained_run,
                                                                   cli_dataset, flag, value,
                                                                   capsys):
         assert self._eval(trained_run, cli_dataset, flag, value) == 1
         assert flag in capsys.readouterr().err
+
+    def test_eval_data_paths_override_checkpoint(self, trained_run, cli_dataset, tmp_path,
+                                                 capsys):
+        assert self._eval(trained_run, cli_dataset) == 0
+        expected = capsys.readouterr().out
+        moved = tmp_path / "moved"
+        shutil.copytree(cli_dataset, moved)
+        assert self._eval(trained_run, moved) == 0
+        assert capsys.readouterr().out == expected
+        assert self._eval(trained_run, tmp_path / "nothere") == 2
+
+    def test_eval_uses_checkpoint_fold_split(self, cli_dataset, tmp_path, capsys):
+        run = train_run(cli_dataset, tmp_path, "--k", "4", "--fold-seed", "3", "--fold", "2")
+        row = (run / "report.csv").read_text().splitlines()[1].split(",")
+        assert row[2] == "2"
+        spec, sen, score = (float(v) for v in row[3:6])
+        capsys.readouterr()
+        assert run_cli("eval", "--checkpoint", str(run / "ckpt_cnn_moe_fold2.rsdl")) == 0
+        assert capsys.readouterr().out == \
+            f"fold 2: spec={spec:.4f} sen={sen:.4f} score={score:.4f}\n"
+
+    def test_corrupt_checkpoint_is_data_error(self, trained_run, cli_dataset, tmp_path,
+                                              capsys):
+        data = (trained_run / "ckpt_cnn_moe_fold0.rsdl").read_bytes()
+        rng = np.random.default_rng(17)
+        blobs = [data[:n] for n in (9, 40, len(data) - 3, *rng.integers(0, len(data), 3))]
+        for i in rng.integers(0, len(data), 6):
+            flipped = bytearray(data)
+            flipped[i] ^= 1 << int(rng.integers(8))
+            blobs.append(bytes(flipped))
+        bad = tmp_path / "bad.rsdl"
+        wav = sorted(cli_dataset.glob("*.wav"))[0]
+        for blob in blobs:
+            bad.write_bytes(blob)
+            assert run_cli("predict", "--model", str(bad), "--wav", str(wav)) == 2
+            assert run_cli("eval", "--checkpoint", str(bad)) == 2
+            err = capsys.readouterr().err
+            assert err.count("data error:") == 2 and "Traceback" not in err
 
     def test_predict_matches_training_front_end(self, trained_run, tmp_path, capsys):
         # one 16 kHz recording whose single cycle spans the whole file; at
@@ -280,9 +327,9 @@ class TestEvalAndPredict:
 
         manifest = ingest.build_manifest(tmp_path, tmp_path / "diag.csv", "Task1_4class")
         (eid, feat), = harness.build_features(manifest, "Task1_4class", 0.5).items()
-        model, _, stats = _load_model(ckpt)
+        loaded = harness.load_fold_checkpoint(ckpt)
         probs = harness.evaluate_entities(
-            model, {eid: harness.normalized_patches(feat.spec, stats, 32)})[eid]
+            loaded.model, {eid: harness.normalized_patches(feat.spec, loaded.stats, 32)})[eid]
         np.testing.assert_allclose(printed, probs, rtol=0, atol=1e-6)
 
     def test_predict_on_recording_resampled_to_nothing_is_data_error(self, trained_run,
@@ -318,6 +365,21 @@ class TestEvalAndPredict:
                        "--wav", str(wav))
         assert code == 2
         assert "x.wav" in capsys.readouterr().err
+
+
+    def test_nan_abort_checkpoint_is_readable(self, cli_dataset, tmp_path, monkeypatch):
+        def explode(*args, **kwargs):
+            raise NumericalError("non-finite values in predictions")
+
+        monkeypatch.setattr(harness, "train_loop", explode)
+        code = run_cli("train", "--audio-dir", str(cli_dataset),
+                       "--diagnosis-file", str(cli_dataset / "diagnosis.csv"),
+                       "--min-cycle-seconds", "0.5", "--patch-width", "32",
+                       "--out-dir", str(tmp_path), "--fold", "1")
+        assert code == 3
+        aborted = next(tmp_path.glob("run_*/ckpt_cnn_moe_fold1.aborted.rsdl"))
+        ckpt = harness.load_fold_checkpoint(aborted)
+        assert (ckpt.fold_id, ckpt.config.patch_width) == (1, 32)
 
 
 class TestFeaturesCommand:

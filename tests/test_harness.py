@@ -12,7 +12,7 @@ from respdl.harness import (
     SweepRow,
     compute_metrics,
 )
-from respdl.nn import TrainConfig
+from respdl.nn import TrainConfig, load_checkpoint, save_checkpoint
 
 from conftest import desk_config, write_raw_wav
 
@@ -109,6 +109,62 @@ class TestExperimentConfig:
         assert harness.config_hash(a) == harness.config_hash(b)
         c = desk_config(train=TrainConfig(epochs=61, batch_size=8, lr=1e-3, seed=11))
         assert harness.config_hash(c) != harness.config_hash(a)
+
+
+def _saved_member(path, model_name="crnn"):
+    cfg = desk_config(model=model_name, k=4, fold_seed=3)
+    model = harness.build_member(cfg, model_name, seed=9)
+    for p in model.params():
+        p.data[...] = np.random.default_rng(len(p.name)).standard_normal(p.data.shape)
+    stats = dsp.NormStats(mean=0.1 + 0.2, std=1 / 3)
+    arrays = {p.name: p.data for p in model.params()} | model.get_buffers()
+    harness.save_fold_checkpoint(path, cfg, model_name, 2, stats, arrays)
+    return cfg, model, stats
+
+
+class TestFoldCheckpoint:
+    @pytest.mark.parametrize("model_name", ["cnn_moe", "crnn"])
+    def test_roundtrip_rebuilds_config_fold_stats_and_model(self, tmp_path, model_name):
+        cfg, model, stats = _saved_member(tmp_path / "m.rsdl", model_name)
+        ckpt = harness.load_fold_checkpoint(tmp_path / "m.rsdl")
+        assert ckpt.config == cfg
+        assert ckpt.fold_id == 2
+        assert ckpt.stats == stats  # repr floats, not float32
+        assert ckpt.model.name == model_name
+        for a, b in zip(ckpt.model.params(), model.params(), strict=True):
+            assert a.name == b.name
+            np.testing.assert_array_equal(a.data, b.data)
+        got = ckpt.model.get_buffers()
+        for key, value in model.get_buffers().items():
+            np.testing.assert_array_equal(got[key], value)
+
+    @pytest.mark.parametrize("line,replacement", [
+        ("member=crnn\n", ""),
+        ("fold=2\n", ""),
+        ("norm_std=0.3333333333333333\n", ""),
+        ("k=4\n", ""),
+        ("member=crnn\n", "member=resnet\n"),
+        ("fold=2\n", "fold=two\n"),
+        ("patch_width=32\n", "patch_width=33\n"),
+        ("k=4\n", "k=4\nno_such_key=1\n"),
+    ])
+    def test_bad_header_is_format_error(self, tmp_path, line, replacement):
+        path = tmp_path / "m.rsdl"
+        _saved_member(path)
+        header, arrays = load_checkpoint(path)
+        assert line in header
+        save_checkpoint(path, header.replace(line, replacement), arrays)
+        with pytest.raises(FormatError):
+            harness.load_fold_checkpoint(path)
+
+    def test_missing_buffer_is_format_error(self, tmp_path):
+        path = tmp_path / "m.rsdl"
+        _saved_member(path)
+        header, arrays = load_checkpoint(path)
+        del arrays["block1.bn_in.running_var"]
+        save_checkpoint(path, header, arrays)
+        with pytest.raises(FormatError, match="running_var"):
+            harness.load_fold_checkpoint(path)
 
 
 @pytest.fixture(scope="module")
@@ -228,6 +284,7 @@ class TestRunFold:
             harness.run_fold(cfg, 0, synth_features, synth_folds)
         assert hasattr(excinfo.value, "last_good")
         assert excinfo.value.model_name == "cnn_moe"
+        assert isinstance(excinfo.value.stats, dsp.NormStats)
         assert any(k.endswith(".W") for k in excinfo.value.last_good)
 
     def test_ensemble_trains_both_members(self, synth_features, synth_folds):

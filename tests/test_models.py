@@ -67,11 +67,10 @@ class TestMoELayer:
     def test_single_expert_gate_is_identity(self, rng):
         layer = self._layer(rng, n_experts=1)
         x = rng.standard_normal((5, 6))
-        probs, logits = layer.forward(x)
+        logits = layer.forward(x)
         e = np.maximum(
             np.einsum("bi,jin->bjn", x, layer.expert_w.data) + layer.expert_b.data, 0.0
         )[:, 0, :]
-        np.testing.assert_allclose(probs, softmax(e), atol=1e-9)
         np.testing.assert_allclose(logits, e, atol=1e-9)
 
     def test_equal_experts_collapse(self, rng):
@@ -79,9 +78,8 @@ class TestMoELayer:
         layer.expert_w.data[:] = layer.expert_w.data[0]
         layer.expert_b.data[:] = layer.expert_b.data[0]
         x = rng.standard_normal((7, 6))
-        probs, _ = layer.forward(x)
         e0 = np.maximum(x @ layer.expert_w.data[0] + layer.expert_b.data[0], 0.0)
-        np.testing.assert_allclose(probs, softmax(e0), atol=1e-9)
+        np.testing.assert_allclose(layer.forward(x), e0, atol=1e-9)
 
     def test_symmetric_two_expert_fixture(self, rng):
         layer = models.MoELayer(3, 2, 2, rng, dtype=F64)
@@ -89,9 +87,9 @@ class TestMoELayer:
         layer.expert_b.data[:] = np.array([[1.0, 0.0], [0.0, 1.0]])
         layer.gate.w.data[:] = 0.0
         layer.gate.b.data[:] = 0.0  # uniform gate (0.5, 0.5)
-        probs, logits = layer.forward(np.zeros((1, 3)))
+        logits = layer.forward(np.zeros((1, 3)))
         np.testing.assert_allclose(logits, [[0.5, 0.5]], atol=1e-12)
-        np.testing.assert_allclose(probs, [[0.5, 0.5]], atol=1e-9)
+        np.testing.assert_allclose(softmax(logits), [[0.5, 0.5]], atol=1e-9)
 
     def test_gate_on_simplex(self, rng):
         layer = self._layer(rng)
@@ -103,19 +101,7 @@ class TestMoELayer:
         from respdl.nn import grad_check
 
         layer = self._layer(rng, in_dim=4, n_classes=3, n_experts=2)
-
-        class Wrapper:
-            def forward(self, x, train=False):
-                probs, logits = layer.forward(x, train)
-                return logits
-
-            def backward(self, dout):
-                return layer.backward(dout)
-
-            def params(self):
-                return layer.params()
-
-        report = grad_check(Wrapper(), rng.standard_normal((3, 4)))
+        report = grad_check(layer, rng.standard_normal((3, 4)))
         assert report["max_rel_err"] < 1e-6
 
 
@@ -155,24 +141,23 @@ class TestAggregateAndFuse:
 
     def test_fuse_idempotent(self, rng):
         p = softmax(rng.standard_normal((4, 3)))
-        out = models.ensemble_fuse(p, p)
-        np.testing.assert_allclose(out.fused, p, atol=1e-12)
+        np.testing.assert_allclose(models.ensemble_fuse(p, p), p, atol=1e-12)
 
     def test_fuse_arithmetic_mean(self):
         out = models.ensemble_fuse(np.array([[0.8, 0.2]]), np.array([[0.6, 0.4]]))
-        np.testing.assert_allclose(out.fused, [[0.7, 0.3]], atol=1e-12)
+        np.testing.assert_allclose(out, [[0.7, 0.3]], atol=1e-12)
 
     def test_fuse_symmetric(self, rng):
         a = softmax(rng.standard_normal((6, 4)))
         b = softmax(rng.standard_normal((6, 4)))
         np.testing.assert_allclose(
-            models.ensemble_fuse(a, b).fused, models.ensemble_fuse(b, a).fused, atol=1e-12
+            models.ensemble_fuse(a, b), models.ensemble_fuse(b, a), atol=1e-12
         )
 
     def test_fused_rows_sum_to_one(self, rng):
         a = softmax(rng.standard_normal((6, 4)))
         b = softmax(rng.standard_normal((6, 4)))
-        np.testing.assert_allclose(models.ensemble_fuse(a, b).fused.sum(axis=1), 1.0,
+        np.testing.assert_allclose(models.ensemble_fuse(a, b).sum(axis=1), 1.0,
                                    atol=1e-9)
 
     def test_fuse_shape_mismatch(self, rng):
