@@ -207,8 +207,6 @@ def _save_fold_outputs(run_dir: Path, cfg, result: harness.FoldResult):
     for name, snap in result.checkpoints.items():
         ckpt = run_dir / f"ckpt_{name}_fold{result.fold_id}.rsdl"
         harness.save_fold_checkpoint(ckpt, cfg, name, result.fold_id, result.stats, snap)
-        card = run_dir / f"ckpt_{name}_fold{result.fold_id}.card.txt"
-        card.write_text(harness.model_card(cfg, name, result.fold_id))
 
 
 def _print_metrics(prefix: str, m: harness.Metrics):

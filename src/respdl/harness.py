@@ -646,18 +646,6 @@ def history_csv(history) -> str:
     return "\n".join(lines) + "\n"
 
 
-def model_card(config: ExperimentConfig, model_name: str, fold_id: int) -> str:
-    return (
-        f"model: {model_name}\n"
-        f"task: {config.task}\n"
-        f"patch_width: {config.patch_width}\n"
-        f"min_cycle_seconds: {config.min_cycle_seconds}\n"
-        f"seed: {config.train.seed}\n"
-        f"fold: {fold_id}\n"
-        f"config_hash: {config_hash(config)}\n"
-    )
-
-
 # ---------------------------------------------------------------------------
 # Sweeps
 # ---------------------------------------------------------------------------

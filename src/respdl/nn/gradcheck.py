@@ -96,10 +96,10 @@ def grad_check_model(model, x, targets, step=1e-5, sample=8, seed=0):
 
 def standard_suite(step=1e-5, seed=0):
     """Gradient checks for every layer kind used by the two architectures,
-    plus the composed CNN-MoE on a reduced-width input.
+    plus the composed CNN-MoE and C-RNN on reduced-width inputs.
 
     Returns rows of (name, max_rel_err, tolerance). Linear layers are held
-    to 1e-8, nonlinear layers to 1e-4, the full composition to 1e-3.
+    to 1e-8, nonlinear layers to 1e-4, the full compositions to 1e-3.
     """
     from .. import models
     from . import layers as ly
@@ -164,12 +164,19 @@ def standard_suite(step=1e-5, seed=0):
 
     run("conv_relu_stack", _Stack(), rng.standard_normal((2, 6, 6, 2)) + 0.1, 1e-4)
 
-    # full CNN-MoE, reduced width, pooling schedule intact, dropout zeroed
-    model = models.CNNMoE(
-        n_classes=3, patch_width=16, dropout_rates=(0,) * 6, seed=seed, dtype=f64
+    # both full models, reduced width (and GRU size), pooling schedule
+    # intact, dropout zeroed
+    no_dropout = (0,) * 6
+    full_models = (
+        ("cnn_moe_full", models.CNNMoE(
+            n_classes=3, patch_width=16, dropout_rates=no_dropout, seed=seed, dtype=f64)),
+        ("crnn_full", models.CRNN(
+            n_classes=3, patch_width=16, gru_hidden=4, dropout_rates=no_dropout, seed=seed,
+            dtype=f64)),
     )
-    xm = rng.standard_normal((2, 64, 16))
-    tm = np.eye(3)[rng.integers(0, 3, size=2)]
-    report = grad_check_model(model, xm, tm, step=step, sample=6, seed=seed)
-    rows.append(("cnn_moe_full", report["max_rel_err"], 1e-3))
+    for name, model in full_models:
+        xm = rng.standard_normal((2, 64, 16))
+        tm = np.eye(3)[rng.integers(0, 3, size=2)]
+        report = grad_check_model(model, xm, tm, step=step, sample=6, seed=seed)
+        rows.append((name, report["max_rel_err"], 1e-3))
     return rows

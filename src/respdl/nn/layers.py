@@ -5,6 +5,15 @@ and ``params() -> list[Param]``. Gradients accumulate into ``Param.grad``;
 the training loop zeroes them between steps. Convolutions use stride 1 and
 same-padding (extra padding on the trailing side for even kernels), so
 spatial dims change only at pooling layers.
+
+The two costly layers keep their passes over full activation tensors few:
+a convolution is one GEMM over an im2col matrix forward, and two GEMMs
+backward (weight gradient, and the input gradient as col2im: one GEMM into
+per-tap columns, then one shifted add per kernel tap); batch normalization
+is one per-channel affine map forward, and backward two per-channel
+reductions plus one per-channel affine combination of the output gradient
+and the re-centered input, built in place; it caches its input rather than
+a normalized copy.
 """
 
 from __future__ import annotations
@@ -89,13 +98,24 @@ class Dense:
         return [self.w, self.b]
 
 
+def _tap_slices(offset, size):
+    """(output positions, input positions) of a kernel tap that reads the
+    input ``offset`` places away, over the outputs whose input lies inside
+    [0, size)."""
+    lo, hi = max(0, -offset), min(size, size - offset)
+    return slice(lo, hi), slice(lo + offset, hi + offset)
+
+
 class Conv2d:
     """Stride-1 same-padded 2-D convolution via im2col.
 
     Activations are channels-last (B, H, W, C) so the im2col copy moves
     contiguous channel runs and the GEMM output needs no transpose. Weights
     are stored (out_ch, in_ch, kh, kw) with He-uniform init. Even kernel
-    dims get the extra padding on the trailing side.
+    dims get the extra padding on the trailing side. The input gradient is
+    col2im (Caffe, Jia et al. 2014, arXiv:1408.5093): its GEMM is
+    kh*kw*in_ch wide, where an im2col of the output gradient would be
+    kh*kw*out_ch wide.
     """
 
     def __init__(self, in_ch, out_ch, kh, kw, rng, name="conv", dtype=np.float32):
@@ -138,21 +158,17 @@ class Conv2d:
         self.w.grad += dw.transpose(0, 3, 1, 2)
         self.b.grad += dmat.sum(axis=0)
 
-        # dx = full correlation of dout with the flipped, channel-swapped
-        # kernel; padding mirrors the forward same-padding.
-        dpad = np.pad(
-            dout,
-            ((0, 0),
-             (self.pad_h[1], self.pad_h[0]),
-             (self.pad_w[1], self.pad_w[0]),
-             (0, 0)),
-        )
-        dcols = self._im2col(dpad, h, w)
-        wf = np.ascontiguousarray(
-            self.w.data.transpose(1, 2, 3, 0)[:, ::-1, ::-1, :].reshape(self.in_ch, -1)
-        )
-        dx = dcols @ wf.T
-        return dx.reshape(b, h, w, self.in_ch)
+        # col2im: one GEMM gives every input position's share of every
+        # kernel tap, then each tap is added back at its offset (taps that
+        # fall into the padding are dropped).
+        dcols = (dmat @ self._wmat()).reshape(b, h, w, self.kh, self.kw, self.in_ch)
+        dx = np.zeros((b, h, w, self.in_ch), dtype=dout.dtype)
+        for i in range(self.kh):
+            rows_out, rows_in = _tap_slices(i - self.pad_h[0], h)
+            for j in range(self.kw):
+                cols_out, cols_in = _tap_slices(j - self.pad_w[0], w)
+                dx[:, rows_in, cols_in] += dcols[:, rows_out, cols_out, i, j]
+        return dx
 
     def params(self):
         return [self.w, self.b]
@@ -161,9 +177,16 @@ class Conv2d:
 class BatchNorm2d:
     """Per-channel batch normalization over (B, H, W) of channels-last input.
 
-    Train mode normalizes by batch moments and updates running statistics
-    with momentum 0.9; inference uses the running statistics. Running stats
-    are buffers, not trainable parameters.
+    Both modes apply one per-channel affine map, ``x * scale + shift``,
+    written into a single output array. Train mode takes two-pass moments
+    (the mean, then the variance of the centered input), so float32 stays
+    accurate when |mean| is many times the std, and updates running
+    statistics with momentum 0.9; inference uses the running statistics.
+    The cache holds the input itself, not a normalized copy: the backward
+    pass re-centers it, takes two per-channel reductions and turns the
+    centered copy in place into dx, a per-channel affine combination of it
+    and the output gradient. Running stats are buffers, not trainable
+    parameters.
     """
 
     def __init__(self, channels, rng=None, name="bn", eps=1e-5, momentum=0.9, dtype=np.float32):
@@ -178,19 +201,22 @@ class BatchNorm2d:
         self._cache = None
 
     def forward(self, x, train=False):
-        if x.shape[-1] != self.gamma.data.size:
+        c = self.gamma.data.size
+        if x.shape[-1] != c:
             raise ShapeError(
-                f"{self.gamma.name}: expected {self.gamma.data.size} channels, got {x.shape[-1]}"
+                f"{self.gamma.name}: expected {c} channels, got {x.shape[-1]}"
             )
-        axes = tuple(range(x.ndim - 1))
+        n = x.size // c
         if train:
-            n = x.size // x.shape[-1]
-            flat = x.reshape(n, x.shape[-1])
-            mean = flat.mean(axis=0)
-            var = np.einsum("nc,nc->c", flat, flat) / n - mean**2
-            np.maximum(var, 0.0, out=var)
+            # per-sample partial sums first: float32 error grows with the
+            # length of each sum, not with the whole batch
+            mean = x.reshape(x.shape[0], -1, c).sum(axis=1).sum(axis=0) / n
+            out = np.subtract(x, mean)
+            flat = out.reshape(n, c)
+            var = np.einsum("nc,nc->c", flat, flat) / n
             inv_std = 1.0 / np.sqrt(var + self.eps)
-            xhat = (x - mean) * inv_std
+            out *= self.gamma.data * inv_std
+            out += self.beta.data
             m = self.momentum
             self.running_mean = (m * self.running_mean + (1 - m) * mean).astype(x.dtype)
             self.running_var = (m * self.running_var + (1 - m) * var).astype(x.dtype)
@@ -199,25 +225,34 @@ class BatchNorm2d:
             if not self._trained:
                 log.warning("%s: inference before any training step, using init stats",
                             self.gamma.name)
+            mean = self.running_mean
             inv_std = 1.0 / np.sqrt(self.running_var + self.eps)
-            xhat = (x - self.running_mean) * inv_std
-        self._cache = (xhat, inv_std, train, axes)
-        return self.gamma.data * xhat + self.beta.data
+            scale = self.gamma.data * inv_std
+            out = np.multiply(x, scale)
+            out += self.beta.data - mean * scale
+        self._cache = (x, mean, inv_std, train)
+        return out
 
     def backward(self, dout):
-        xhat, inv_std, train, axes = self._cache
-        c = dout.shape[-1]
-        n = dout.size // c
-        dflat = np.ascontiguousarray(dout).reshape(n, c)
-        xflat = xhat.reshape(n, c)
-        self.gamma.grad += np.einsum("nc,nc->c", dflat, xflat)
-        self.beta.grad += dflat.sum(axis=0)
-        dxhat = dout * self.gamma.data
+        x, mean, inv_std, train = self._cache
+        c = x.shape[-1]
+        n = x.size // c
+        dx = np.subtract(x, mean)  # centered input, reused as the output buffer
+        dflat = dout.reshape(n, c)
+        sum_d = dflat.sum(axis=0)
+        sum_dx = np.einsum("nc,nc->c", dflat, dx.reshape(n, c))
+        self.gamma.grad += sum_dx * inv_std
+        self.beta.grad += sum_d
+        k = self.gamma.data * inv_std
         if not train:
-            return dxhat * inv_std
-        mean_d = dxhat.reshape(n, c).mean(axis=0)
-        mean_dx = np.einsum("nc,nc->c", dxhat.reshape(n, c), xflat) / n
-        return inv_std * (dxhat - mean_d - xhat * mean_dx)
+            np.multiply(dout, k, out=dx)
+            return dx
+        # dx = k * (dout - mean(dout) - xhat * mean(dout * xhat))
+        dx *= -(inv_std * inv_std * sum_dx / n)
+        dx += dout
+        dx -= sum_d / n
+        dx *= k
+        return dx
 
     def params(self):
         return [self.gamma, self.beta]

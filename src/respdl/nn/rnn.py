@@ -4,6 +4,12 @@ The two directions run independently over the input sequence (the backward
 direction consumes it reversed). Their output sequences are concatenated
 along the TIME axis, forward outputs first and the re-reversed backward
 outputs after them, so T input frames become 2T output frames of H dims.
+
+Each direction follows the fused-gate layout of Appleyard et al. 2016
+(arXiv:1604.01946): everything that does not depend on the recurrent
+state (the input projection forward; the weight, bias and input gradients
+backward) is one GEMM over all time steps, so the sequential loop keeps
+only the recurrent GEMMs, two per step.
 """
 
 from __future__ import annotations
@@ -14,12 +20,13 @@ from ..errors import ShapeError
 from .layers import Param, orthogonal, xavier_uniform
 
 
-def sigmoid(x):
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
+def sigmoid(x, out=None):
+    """Logistic function as 0.5 * (1 + tanh(x / 2)): no overflow and no
+    sign-split indexing. ``out`` may be ``x`` for an in-place update."""
+    out = np.multiply(x, 0.5, out=out)
+    np.tanh(out, out=out)
+    out += 1.0
+    out *= 0.5
     return out
 
 
@@ -28,6 +35,15 @@ class _GRUDirection:
 
     Gate layout inside Wx/Wh/b is [update z | reset r | candidate c]; the
     candidate's recurrent term uses the reset-scaled state (r * h_prev).
+
+    The input projection for all steps is one GEMM before the recurrence,
+    time-major so each step reads a contiguous (B, 3H) slab. Each step then
+    takes one GEMM for the z and r gates together and one for the
+    candidate, against contiguous copies of the two recurrent weight blocks
+    made once per call. Step caches are (T, B, .) arrays allocated up
+    front; the backward pass fills a (T, B, 3H) gate-gradient array and
+    computes the weight, bias and input gradients from it with one GEMM
+    (or sum) each after the recurrence.
     """
 
     def __init__(self, in_dim, hidden, rng, name, dtype):
@@ -39,65 +55,75 @@ class _GRUDirection:
         self.hidden = h
         self._cache = None
 
-    def forward(self, x):
-        b, t, _ = x.shape
-        h = self.hidden
-        xp = x @ self.wx.data + self.b.data
-        state = np.zeros((b, h), dtype=x.dtype)
-        outputs = np.empty((b, t, h), dtype=x.dtype)
-        steps = []
-        for i in range(t):
-            az = xp[:, i, :h] + state @ self.wh.data[:, :h]
-            ar = xp[:, i, h : 2 * h] + state @ self.wh.data[:, h : 2 * h]
-            z = sigmoid(az)
-            r = sigmoid(ar)
-            rh = r * state
-            c = np.tanh(xp[:, i, 2 * h :] + rh @ self.wh.data[:, 2 * h :])
-            new_state = (1.0 - z) * state + z * c
-            steps.append((state, z, r, rh, c))
-            outputs[:, i] = new_state
-            state = new_state
-        self._cache = (x, steps)
-        return outputs
-
-    def backward(self, dout):
-        x, steps = self._cache
-        b, t, d = x.shape
+    def _blocks(self):
         h = self.hidden
         wh = self.wh.data
-        dwx = np.zeros_like(self.wx.data)
-        dwh = np.zeros_like(wh)
-        db = np.zeros_like(self.b.data)
-        dx = np.empty_like(x)
-        dstate = np.zeros((b, h), dtype=x.dtype)
+        return np.ascontiguousarray(wh[:, : 2 * h]), np.ascontiguousarray(wh[:, 2 * h :])
+
+    def forward(self, x):
+        """(B, T, D) -> (B, T, H)."""
+        b, t, d = x.shape
+        h = self.hidden
+        w_zr, w_c = self._blocks()
+        xt = np.ascontiguousarray(x.transpose(1, 0, 2)).reshape(t * b, d)
+        xp = (xt @ self.wx.data + self.b.data).reshape(t, b, 3 * h)
+        states = np.zeros((t + 1, b, h), dtype=x.dtype)  # states[i] feeds step i
+        zr = np.empty((t, b, 2 * h), dtype=x.dtype)
+        rh = np.empty((t, b, h), dtype=x.dtype)
+        cand = np.empty((t, b, h), dtype=x.dtype)
+        for i in range(t):
+            state = states[i]
+            gates = zr[i]
+            np.matmul(state, w_zr, out=gates)
+            gates += xp[i, :, : 2 * h]
+            sigmoid(gates, out=gates)
+            z, r = gates[:, :h], gates[:, h:]
+            np.multiply(r, state, out=rh[i])
+            c = cand[i]
+            np.matmul(rh[i], w_c, out=c)
+            c += xp[i, :, 2 * h :]
+            np.tanh(c, out=c)
+            # h_new = (1 - z) * h_prev + z * c
+            new_state = states[i + 1]
+            np.subtract(c, state, out=new_state)
+            new_state *= z
+            new_state += state
+        self._cache = (xt, states, zr, rh, cand)
+        return states[1:].transpose(1, 0, 2)
+
+    def backward(self, dout):
+        """(B, T, H) output gradient -> (B, T, D) input gradient."""
+        xt, states, zr, rh, cand = self._cache
+        t, b, h = cand.shape
+        w_zr, w_c = self._blocks()
+        dout_t = dout.transpose(1, 0, 2)
+        da = np.empty((t, b, 3 * h), dtype=cand.dtype)  # gradients of the gate pre-activations
+        dstate = np.zeros((b, h), dtype=cand.dtype)
         for i in range(t - 1, -1, -1):
-            h_prev, z, r, rh, c = steps[i]
-            dh = dstate + dout[:, i]
-            dz = dh * (c - h_prev)
-            dc = dh * z
-            dprev = dh * (1.0 - z)
-
-            dac = dc * (1.0 - c * c)
-            dwh[:, 2 * h :] += rh.T @ dac
-            drh = dac @ wh[:, 2 * h :].T
-            dr = drh * h_prev
-            dprev += drh * r
-
-            daz = dz * z * (1.0 - z)
-            dar = dr * r * (1.0 - r)
-            dwh[:, :h] += h_prev.T @ daz
-            dwh[:, h : 2 * h] += h_prev.T @ dar
-            dprev += daz @ wh[:, :h].T + dar @ wh[:, h : 2 * h].T
-
-            da = np.concatenate([daz, dar, dac], axis=1)
-            dwx += x[:, i].T @ da
-            db += da.sum(axis=0)
-            dx[:, i] = da @ self.wx.data.T
-            dstate = dprev
-        self.wx.grad += dwx
-        self.wh.grad += dwh
-        self.b.grad += db
-        return dx
+            h_prev, c = states[i], cand[i]
+            z, r = zr[i, :, :h], zr[i, :, h:]
+            dh = dstate + dout_t[i]
+            daz, dar, dac = da[i, :, :h], da[i, :, h : 2 * h], da[i, :, 2 * h :]
+            # candidate: dac = dh * z * (1 - c^2)
+            np.multiply(dh, z, out=dac)
+            dac *= 1.0 - c * c
+            drh = dac @ w_c.T
+            # update gate: daz = dh * (c - h_prev) * z * (1 - z)
+            np.subtract(c, h_prev, out=daz)
+            daz *= dh
+            daz *= z * (1.0 - z)
+            # reset gate: dar = drh * h_prev * r * (1 - r)
+            np.multiply(drh, h_prev, out=dar)
+            dar *= r * (1.0 - r)
+            dstate = dh * (1.0 - z)
+            dstate += drh * r
+            dstate += da[i, :, : 2 * h] @ w_zr.T
+        flat = da.reshape(t * b, 3 * h)
+        self.wx.grad += xt.T @ flat
+        self.wh.grad[:, : 2 * h] += states[:t].reshape(t * b, h).T @ flat[:, : 2 * h]
+        self.wh.grad[:, 2 * h :] += rh.reshape(t * b, h).T @ flat[:, 2 * h :]
+        self.b.grad += flat.sum(axis=0)
+        return (flat @ self.wx.data.T).reshape(t, b, -1).transpose(1, 0, 2)
 
     def params(self):
         return [self.wx, self.wh, self.b]
@@ -124,7 +150,7 @@ class BiGRU:
     def backward(self, dout):
         t = self._t
         dx_f = self.fwd.backward(dout[:, :t])
-        dx_b = self.bwd.backward(np.ascontiguousarray(dout[:, t:][:, ::-1]))
+        dx_b = self.bwd.backward(dout[:, t:][:, ::-1])
         return dx_f + dx_b[:, ::-1]
 
     def params(self):

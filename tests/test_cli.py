@@ -206,7 +206,6 @@ class TestTrainArtifacts:
         assert "folds.csv" in names
         assert "history_cnn_moe_fold0.csv" in names
         assert "ckpt_cnn_moe_fold0.rsdl" in names
-        assert "ckpt_cnn_moe_fold0.card.txt" in names
 
     def test_report_structure_single_fold(self, trained_run):
         lines = (trained_run / "report.csv").read_text().strip().splitlines()

@@ -411,11 +411,3 @@ class TestArtifacts:
         lines = text.strip().splitlines()
         assert lines[0] == "epoch,train_loss,heldout_score"
         assert lines[1].startswith("1,0.5,")
-
-    def test_model_card_fields(self):
-        cfg = desk_config()
-        card = harness.model_card(cfg, "cnn_moe", 2)
-        for needle in ("task: Task1_4class", "patch_width: 32",
-                       "min_cycle_seconds: 0.5", "seed: 11", "fold: 2",
-                       "config_hash:"):
-            assert needle in card
