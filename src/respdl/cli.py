@@ -1,10 +1,11 @@
 """Command-line entry point.
 
 Subcommands wire the pipeline end to end: ``synth`` (fixture generator),
-``ingest`` (manifest + folds), ``features`` (spectrogram cache), ``train``
-(cross-validated training), ``eval`` (score a checkpoint), ``sweep-cycle``
-and ``sweep-timeres`` (the two analyses), ``predict`` (score one WAV) and
-``gradcheck`` (finite-difference verification).
+``ingest`` (manifest + folds), ``train`` (cross-validated training),
+``eval`` (score a checkpoint), ``sweep-cycle`` and ``sweep-timeres`` (the
+two analyses), ``predict`` (score one WAV) and ``gradcheck``
+(finite-difference verification). Features are computed from the WAV files
+on every run; nothing is cached on disk.
 
 Configuration precedence: command-line flag beats config-file value beats
 built-in default. Config files are flat ``key=value`` lines with ``#``
@@ -15,7 +16,6 @@ comments; unknown keys are rejected. Exit codes: 0 success, 1 usage error,
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from pathlib import Path
 
@@ -25,8 +25,6 @@ from . import dsp, harness, ingest, models, synth
 from .errors import NumericalError, ParameterError, ParseError, RespdlError
 from .harness import CONFIG_KEYS
 from .nn.gradcheck import standard_suite
-
-CACHE_ENV = "RESPDL_CACHE"
 
 CONFIG_HELP = {
     "task": "sub-task: Task1_4class, Task1_2class, Task2_3class or Task2_2class",
@@ -134,14 +132,6 @@ def build_parser() -> _Parser:
     p.add_argument("--fold-seed", type=int, default=7)
     p.add_argument("--patient-independent", action="store_true")
 
-    p = sub.add_parser("features", help="compute and cache gammatone features")
-    p.add_argument("--audio-dir", required=True)
-    p.add_argument("--diagnosis", required=True)
-    p.add_argument("--task", default="Task1_4class", choices=ingest.TASKS)
-    p.add_argument("--min-cycle-seconds", type=float, default=6.0)
-    p.add_argument("--out", default=None,
-                   help=f"cache directory (default ${CACHE_ENV} or ./feature_cache)")
-
     p = sub.add_parser("train", help="train with k-fold cross-validation")
     _add_config_flags(p)
     p.add_argument("--fold", type=int, default=None, help="train a single fold")
@@ -247,23 +237,6 @@ def cmd_ingest(args) -> int:
                                   args.patient_independent)
         ingest.save_folds(folds, out / "folds.csv")
         print(f"fold sizes: {folds.fold_sizes()}")
-    return 0
-
-
-def cmd_features(args) -> int:
-    out = Path(args.out or os.environ.get(CACHE_ENV) or "feature_cache")
-    out.mkdir(parents=True, exist_ok=True)
-    manifest = ingest.build_manifest(args.audio_dir, args.diagnosis, args.task)
-    features = harness.build_features(manifest, args.task, args.min_cycle_seconds)
-    index_rows = []
-    for eid in sorted(features):
-        feat = features[eid]
-        path = out / f"{eid}.gspc"
-        dsp.write_feature(path, feat.spec)
-        index_rows.append((eid, str(path), feat.spec.shape[0], feat.spec.shape[1],
-                           feat.label))
-    dsp.write_feature_index(out / "index.csv", index_rows)
-    print(f"cached {len(index_rows)} feature files under {out}")
     return 0
 
 
@@ -380,7 +353,6 @@ def cmd_gradcheck(args) -> int:
 _COMMANDS = {
     "synth": cmd_synth,
     "ingest": cmd_ingest,
-    "features": cmd_features,
     "train": cmd_train,
     "eval": cmd_eval,
     "sweep-cycle": cmd_sweep_cycle,

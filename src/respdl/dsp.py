@@ -6,20 +6,19 @@ compression, global z-normalization statistics fit on training data only,
 and the split of a spectrogram into an (n, 64, width) array of fixed-width
 patches. ``harness.entity_spectrogram`` and ``harness.normalized_patches``
 chain these into the one front end that training, ``eval`` and ``predict``
-share.
+share. Spectrograms live in memory only: every run computes them from the
+WAV files.
 """
 
 from __future__ import annotations
 
 import math
 import operator
-import struct
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
-from .errors import FormatError, ParameterError
+from .errors import ParameterError
 
 WINDOW = 1024
 HOP = 256
@@ -240,55 +239,3 @@ def patchify(values: np.ndarray, width: int) -> np.ndarray:
     else:
         starts = np.append(np.arange(0, t - width + 1, width), t - width)
     return windows[:, starts].transpose(1, 0, 2)
-
-
-# ---------------------------------------------------------------------------
-# Feature cache files
-# ---------------------------------------------------------------------------
-
-_CACHE_MAGIC = b"GSPC"
-_CACHE_VERSION = 1
-
-
-def write_feature(path, values: np.ndarray) -> None:
-    """Write one entity's feature matrix: GSPC header + row-major f32le."""
-    a = np.ascontiguousarray(values, dtype="<f4")
-    if a.ndim != 2:
-        raise ParameterError("feature matrix must be 2-D")
-    header = struct.pack("<4sHII", _CACHE_MAGIC, _CACHE_VERSION, a.shape[0], a.shape[1])
-    tmp = Path(str(path) + ".tmp")
-    tmp.write_bytes(header + a.tobytes())
-    tmp.replace(path)  # atomic publish so concurrent jobs share caches
-
-
-def read_feature(path) -> np.ndarray:
-    data = Path(path).read_bytes()
-    if len(data) < 14:
-        raise FormatError(f"{path}: truncated feature file")
-    magic, version, rows, cols = struct.unpack_from("<4sHII", data, 0)
-    if magic != _CACHE_MAGIC:
-        raise FormatError(f"{path}: bad magic {magic!r}")
-    if version != _CACHE_VERSION:
-        raise FormatError(f"{path}: unsupported version {version}")
-    body = np.frombuffer(data, dtype="<f4", offset=14)
-    if body.size != rows * cols:
-        raise FormatError(f"{path}: payload size mismatch")
-    return body.reshape(rows, cols).astype(np.float64)
-
-
-def write_feature_index(path, rows) -> None:
-    """Index CSV over cached features: entity_id,path,rows,cols,label."""
-    lines = ["entity_id,path,rows,cols,label"]
-    lines += [f"{eid},{p},{r},{c},{label}" for eid, p, r, c, label in rows]
-    Path(path).write_text("\n".join(lines) + "\n")
-
-
-def read_feature_index(path) -> list[tuple[str, str, int, int, int]]:
-    out = []
-    lines = Path(path).read_text().splitlines()
-    for line in lines[1:]:
-        if not line.strip():
-            continue
-        eid, p, r, c, label = line.split(",")
-        out.append((eid, p, int(r), int(c), int(label)))
-    return out

@@ -436,7 +436,6 @@ class FoldResult:
     train_ids: list
     heldout_ids: list
     stats: dsp.NormStats
-    stats_ids: list
     component_metrics: dict  # model name -> Metrics (ensemble runs)
     checkpoints: dict  # model name -> {param name: array}
     train_accs: dict  # model name -> list of per-epoch train accuracy
@@ -554,7 +553,6 @@ def run_fold(
         train_ids=train_ids,
         heldout_ids=heldout_ids,
         stats=stats,
-        stats_ids=list(train_ids),
         component_metrics=component_metrics,
         checkpoints=checkpoints,
         train_accs=accs,
@@ -699,6 +697,17 @@ def _sweep_point_metrics(config: ExperimentConfig, manifest, features, full_cv: 
     return run_fold(config, 0, features, folds).metrics
 
 
+def _relabel(features: dict[str, EntityFeatures], manifest: ingest.DatasetManifest,
+             task: str) -> dict[str, EntityFeatures]:
+    """``features`` under ``task``'s class labels, sharing the spectrograms.
+
+    The two sub-tasks of Task 1, and the two of Task 2, score the same
+    entities from the same spectrograms; only the class index differs.
+    """
+    labels = {eid: cls for eid, cls, _ in manifest.entities(task)}
+    return {eid: replace(feat, label=labels[eid]) for eid, feat in features.items()}
+
+
 def sweep_cycle_length(
     config: ExperimentConfig,
     manifest: ingest.DatasetManifest,
@@ -707,26 +716,23 @@ def sweep_cycle_length(
 ) -> SweepReport:
     """Retrain at each minimum cycle length over both Task 1 sub-tasks.
 
-    Runs on the first fold by default; features are rebuilt per length
-    because duplication changes the waveforms.
+    Runs on the first fold by default. Features are rebuilt per length,
+    because duplication changes the waveforms, and shared by both
+    sub-tasks; one length's spectrograms are held at a time. Rows are
+    task-major, each task's in the order of ``lengths``.
     """
-    rows = []
-    for task in ("Task1_4class", "Task1_2class"):
-        for length in lengths:
+    tasks = ("Task1_4class", "Task1_2class")
+    by_task = {task: [] for task in tasks}
+    for length in lengths:
+        features = build_features(manifest, tasks[0], float(length))
+        for task in tasks:
             point = replace(config, task=task, min_cycle_seconds=float(length))
-            features = build_features(manifest, task, point.min_cycle_seconds)
-            m = _sweep_point_metrics(point, manifest, features, full_cv)
-            rows.append(
-                SweepRow(
-                    task=task,
-                    setting=f"{length:g}s",
-                    seconds=float(length),
-                    frames=None,
-                    specificity=m.specificity,
-                    sensitivity=m.sensitivity,
-                    icbhi_score=m.icbhi_score,
-                )
-            )
+            m = _sweep_point_metrics(point, manifest, _relabel(features, manifest, task),
+                                     full_cv)
+            by_task[task].append(SweepRow(task, f"{length:g}s", float(length), None,
+                                         m.specificity, m.sensitivity, m.icbhi_score))
+        del features  # free this length's spectrograms before the next build
+    rows = [row for task in tasks for row in by_task[task]]
     _flag_best(rows)
     return SweepReport(rows=rows)
 
@@ -739,27 +745,21 @@ def sweep_time_resolution(
 ) -> SweepReport:
     """Retrain at each patch width over both Task 2 sub-tasks.
 
+    Features are built once and shared by every width and both sub-tasks.
     Each row reports the frame count and the actual seconds it spans
     (width * hop / 16 kHz). Widths outside the standard set (e.g. 192) are
     permitted here for extended sweeps.
     """
+    tasks = ("Task2_3class", "Task2_2class")
+    features = build_features(manifest, tasks[0], config.min_cycle_seconds)
     rows = []
-    for task in ("Task2_3class", "Task2_2class"):
-        features = build_features(manifest, task, config.min_cycle_seconds)
+    for task in tasks:
+        task_features = _relabel(features, manifest, task)
         for width in widths:
             point = replace(config, task=task, patch_width=int(width))
             seconds = width * dsp.HOP / ingest.TARGET_RATE
-            m = _sweep_point_metrics(point, manifest, features, full_cv)
-            rows.append(
-                SweepRow(
-                    task=task,
-                    setting=f"{width}f",
-                    seconds=seconds,
-                    frames=int(width),
-                    specificity=m.specificity,
-                    sensitivity=m.sensitivity,
-                    icbhi_score=m.icbhi_score,
-                )
-            )
+            m = _sweep_point_metrics(point, manifest, task_features, full_cv)
+            rows.append(SweepRow(task, f"{width}f", seconds, int(width),
+                                 m.specificity, m.sensitivity, m.icbhi_score))
     _flag_best(rows)
     return SweepReport(rows=rows)

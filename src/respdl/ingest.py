@@ -194,9 +194,6 @@ class FoldAssignment:
             sizes[f] += 1
         return sizes
 
-    def entities_in(self, fold: int) -> list[str]:
-        return sorted(e for e, f in self.assignment.items() if f == fold)
-
 
 # ---------------------------------------------------------------------------
 # WAV decoding
@@ -393,41 +390,6 @@ def save_manifest(manifest: DatasetManifest, path) -> None:
     Path(path).write_text("\n".join(lines) + "\n")
 
 
-def load_manifest(path) -> DatasetManifest:
-    """Reload a saved manifest; cycle labels are re-read from the annotation
-    files under the recorded root directory."""
-    root = ""
-    task = ""
-    manifest = None
-    for lineno, line in enumerate(Path(path).read_text().splitlines(), start=1):
-        line = line.strip()
-        if not line:
-            continue
-        if line.startswith("#root "):
-            root = line[6:]
-            continue
-        if line.startswith("#task "):
-            task = line[6:]
-            continue
-        if manifest is None:
-            manifest = DatasetManifest(root=root, task=task)
-        cols = line.split(",")
-        if len(cols) != 4:
-            raise ParseError(f"expected 4 manifest columns, got {line!r}", line=lineno)
-        rec_id, patient_id, diag, count = cols
-        ann = Path(root) / f"{rec_id}.txt"
-        labels = parse_annotation(ann.read_text())
-        if len(labels) != int(count):
-            raise ParseError(
-                f"{rec_id}: cycle count {count} does not match annotation ({len(labels)})",
-                line=lineno,
-            )
-        manifest.records.append(ManifestRecord(rec_id, patient_id, diag, labels))
-    if manifest is None:
-        manifest = DatasetManifest(root=root, task=task)
-    return manifest
-
-
 def save_rejects(manifest: DatasetManifest, path) -> None:
     """Machine-readable rejects sidecar: recording_id,reason per line."""
     lines = ["recording_id,reason"]
@@ -548,16 +510,3 @@ def save_folds(folds: FoldAssignment, path) -> None:
     lines = [f"{eid},{fold}" for eid, fold in sorted(folds.assignment.items())]
     Path(path).write_text("\n".join(lines) + "\n")
 
-
-def load_folds(path) -> FoldAssignment:
-    assignment = {}
-    for lineno, line in enumerate(Path(path).read_text().splitlines(), start=1):
-        line = line.strip()
-        if not line:
-            continue
-        eid, _, fold = line.rpartition(",")
-        if not eid:
-            raise ParseError(f"expected 'entity_id,fold_index', got {line!r}", line=lineno)
-        assignment[eid] = int(fold)
-    k = max(assignment.values()) + 1 if assignment else 0
-    return FoldAssignment(k=k, assignment=assignment)

@@ -148,7 +148,8 @@ class Conv2d:
         xp = np.pad(x, ((0, 0), self.pad_h, self.pad_w, (0, 0)))
         cols = self._im2col(xp, h, w)
         out = cols @ self._wmat().T + self.b.data
-        self._cols, self._shape = cols, (b, h, w)
+        # only backward reads the columns, so inference keeps none
+        self._cols, self._shape = (cols if train else None), (b, h, w)
         return out.reshape(b, h, w, self.out_ch)
 
     def backward(self, dout):

@@ -108,23 +108,31 @@ class TestExitCodes:
                        "--diagnosis", str(diag), "--out", str(tmp_path / "out"))
         assert code == 2  # stratification over 1 entity cannot fill 5 folds
 
-    def test_bad_wav_body_is_data_error_at_feature_time(self, tmp_path):
-        (tmp_path / "101_x.wav").write_bytes(b"not a wav at all")
-        (tmp_path / "101_x.txt").write_text("0.0 1.0 0 0\n")
-        diag = tmp_path / "diag.csv"
+    @staticmethod
+    def _train_one_recording(data_dir, *flags):
+        (data_dir / "101_x.txt").write_text("0.0 1.0 0 0\n")
+        diag = data_dir / "diag.csv"
         diag.write_text("101,Healthy\n")
-        code = run_cli("features", "--audio-dir", str(tmp_path),
-                       "--diagnosis", str(diag), "--out", str(tmp_path / "cache"))
-        assert code == 2
+        return run_cli("train", "--audio-dir", str(data_dir), "--diagnosis-file", str(diag),
+                       "--out-dir", str(data_dir / "runs"), *flags)
 
-    def test_empty_wav_in_task2_features_is_data_error(self, tmp_path):
+    # train decodes every WAV in build_features before make_folds, whose
+    # stratification error (one entity, five folds) would also exit 2; the
+    # WAV's name in the message shows the decode error came first
+    def test_bad_wav_body_is_data_error_at_feature_time(self, tmp_path, capsys):
+        (tmp_path / "101_x.wav").write_bytes(b"not a wav at all")
+        assert self._train_one_recording(tmp_path) == 2
+        assert "101_x.wav" in capsys.readouterr().err
+
+    def test_empty_wav_in_task2_features_is_data_error(self, tmp_path, capsys):
         write_raw_wav(tmp_path / "101_x.wav", 1, 16, 1, 8000, b"")
-        (tmp_path / "101_x.txt").write_text("0.0 1.0 0 0\n")
-        diag = tmp_path / "diag.csv"
-        diag.write_text("101,Healthy\n")
-        code = run_cli("features", "--audio-dir", str(tmp_path), "--diagnosis", str(diag),
-                       "--task", "Task2_3class", "--out", str(tmp_path / "cache"))
-        assert code == 2
+        assert self._train_one_recording(tmp_path, "--task", "Task2_3class") == 2
+        assert "101_x.wav" in capsys.readouterr().err
+
+    def test_features_subcommand_is_gone(self, tmp_path, capsys):
+        assert run_cli("features", "--audio-dir", str(tmp_path),
+                       "--diagnosis", str(tmp_path / "diag.csv")) == 1
+        assert "invalid choice: 'features'" in capsys.readouterr().err
 
     def test_predict_on_garbage_checkpoint_is_data_error(self, tmp_path):
         ckpt = tmp_path / "fake.rsdl"
@@ -381,32 +389,6 @@ class TestEvalAndPredict:
         assert (ckpt.fold_id, ckpt.config.patch_width) == (1, 32)
 
 
-class TestFeaturesCommand:
-    def test_cache_written_with_index(self, cli_dataset, tmp_path):
-        out = tmp_path / "cache"
-        code = run_cli("features", "--audio-dir", str(cli_dataset),
-                       "--diagnosis", str(cli_dataset / "diagnosis.csv"),
-                       "--min-cycle-seconds", "0.5", "--out", str(out))
-        assert code == 0
-        from respdl import dsp
-
-        rows = dsp.read_feature_index(out / "index.csv")
-        assert len(rows) == 40
-        eid, path, r, c, label = rows[0]
-        values = dsp.read_feature(path)
-        assert values.shape == (r, c) == (64, 32)
-
-    def test_env_var_cache_root(self, cli_dataset, tmp_path, monkeypatch):
-        cache = tmp_path / "envcache"
-        monkeypatch.setenv("RESPDL_CACHE", str(cache))
-        monkeypatch.chdir(tmp_path)
-        code = run_cli("features", "--audio-dir", str(cli_dataset),
-                       "--diagnosis", str(cli_dataset / "diagnosis.csv"),
-                       "--min-cycle-seconds", "0.5")
-        assert code == 0
-        assert (cache / "index.csv").exists()
-
-
 class TestIngestCommand:
     def test_outputs(self, cli_dataset, tmp_path, capsys):
         out = tmp_path / "ing"
@@ -414,9 +396,11 @@ class TestIngestCommand:
                        "--diagnosis", str(cli_dataset / "diagnosis.csv"),
                        "--out", str(out))
         assert code == 0
-        assert (out / "manifest.txt").exists()
+        manifest = (out / "manifest.txt").read_text().splitlines()
+        assert manifest[:2] == [f"#root {cli_dataset}", "#task Task1_4class"]
+        assert len(manifest) == 2 + 40
         assert (out / "rejects.csv").exists()
-        folds = ingest.load_folds(out / "folds.csv")
-        assert folds.k == 5
-        assert len(folds.assignment) == 40
+        folds = [line.rpartition(",") for line in (out / "folds.csv").read_text().splitlines()]
+        assert len(folds) == 40
+        assert {fold for _, _, fold in folds} == {"0", "1", "2", "3", "4"}
         assert "cycles=40" in capsys.readouterr().out

@@ -1,4 +1,4 @@
-"""Resampler, gammatone bank, spectrogram, patching and the feature cache."""
+"""Resampler, gammatone bank, spectrogram and patching."""
 
 import math
 import tracemalloc
@@ -8,7 +8,7 @@ import pytest
 from scipy.signal import resample_poly
 
 from respdl import dsp
-from respdl.errors import FormatError, ParameterError
+from respdl.errors import ParameterError
 
 
 def erb_rate_reference(f):
@@ -308,35 +308,3 @@ class TestPatchify:
         spec = self._spec(256)
         patches = dsp.patchify(spec, 64)
         assert np.shares_memory(patches, spec)
-
-
-class TestFeatureCache:
-    def test_roundtrip(self, tmp_path, rng):
-        values = rng.standard_normal((64, 37))
-        path = tmp_path / "x.gspc"
-        dsp.write_feature(path, values)
-        loaded = dsp.read_feature(path)
-        assert loaded.shape == (64, 37)
-        np.testing.assert_allclose(loaded, values, atol=1e-6)  # f32 storage
-
-    def test_header_layout(self, tmp_path):
-        path = tmp_path / "h.gspc"
-        dsp.write_feature(path, np.zeros((2, 3)))
-        blob = path.read_bytes()
-        assert blob[:4] == b"GSPC"
-        assert int.from_bytes(blob[4:6], "little") == 1
-        assert int.from_bytes(blob[6:10], "little") == 2
-        assert int.from_bytes(blob[10:14], "little") == 3
-        assert len(blob) == 14 + 2 * 3 * 4
-
-    def test_bad_magic_rejected(self, tmp_path):
-        path = tmp_path / "bad.gspc"
-        path.write_bytes(b"XXXX" + b"\x00" * 20)
-        with pytest.raises(FormatError):
-            dsp.read_feature(path)
-
-    def test_index_roundtrip(self, tmp_path):
-        rows = [("e1", "/tmp/e1.gspc", 64, 10, 0), ("e2", "/tmp/e2.gspc", 64, 20, 3)]
-        path = tmp_path / "index.csv"
-        dsp.write_feature_index(path, rows)
-        assert dsp.read_feature_index(path) == rows

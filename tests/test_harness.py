@@ -254,10 +254,11 @@ class TestRunFold:
         epochs = [row[0] for row in result.histories["cnn_moe"]]
         assert epochs == [1, 2, 3]
 
-    def test_no_leakage_id_tracking(self, quick_result, synth_folds):
+    def test_no_leakage_id_tracking(self, quick_result, synth_features, synth_folds):
         _, result = quick_result
         assert set(result.train_ids).isdisjoint(result.heldout_ids)
-        assert set(result.stats_ids) == set(result.train_ids)
+        assert result.stats == dsp.fit_norm_stats(
+            [synth_features[e].spec for e in result.train_ids])
         held = {e for e, f in synth_folds.assignment.items() if f == 0}
         assert set(result.heldout_ids) == held
 
@@ -377,6 +378,37 @@ class TestSweeps:
         for r in report.rows:
             assert r.frames in (32, 64)
             assert r.seconds == pytest.approx(r.frames * 256 / 16000)
+
+    def test_each_sweep_point_builds_features_once(self, tiny_manifest, monkeypatch):
+        build, calls, built, relabeled = harness.build_features, [], [], {}
+
+        def spy(manifest, task, min_cycle_seconds, bank=None):
+            calls.append((task, min_cycle_seconds))
+            built.append(build(manifest, task, min_cycle_seconds, bank))
+            return built[-1]
+
+        def record_point(config, manifest, features, full_cv):
+            relabeled[config.task, config.min_cycle_seconds] = features
+            return harness.Metrics(0.5, 0.5, 0.5, [], 0)
+
+        monkeypatch.setattr(harness, "build_features", spy)
+        monkeypatch.setattr(harness, "_sweep_point_metrics", record_point)
+        harness.sweep_cycle_length(desk_config(), tiny_manifest, lengths=(0.5, 0.7))
+        assert calls == [("Task1_4class", 0.5), ("Task1_4class", 0.7)]
+        for length, shared in zip((0.5, 0.7), built):
+            expected = build(tiny_manifest, "Task1_2class", length)
+            got = relabeled["Task1_2class", length]
+            assert got.keys() == expected.keys()
+            for eid, feat in expected.items():
+                assert got[eid].spec is shared[eid].spec
+                np.testing.assert_array_equal(got[eid].spec, feat.spec)
+                assert (got[eid].label, got[eid].patient_id) == (feat.label, feat.patient_id)
+            assert {f.label for f in got.values()} == {0, 1}
+
+        calls.clear()
+        harness.sweep_time_resolution(desk_config(task="Task2_3class"), tiny_manifest,
+                                      widths=(32, 64))
+        assert len(calls) == 1
 
     def test_best_flag_tie_goes_to_smaller_setting(self):
         rows = [

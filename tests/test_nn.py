@@ -72,6 +72,13 @@ class TestLayerGradients:
         out = layer.forward(rng.standard_normal((2, 5, 5, 2)))
         np.testing.assert_allclose(out, np.broadcast_to(layer.b.data, out.shape))
 
+    def test_conv_inference_keeps_no_im2col(self, rng):
+        layer = Conv2d(2, 3, 3, 3, rng)
+        x = rng.standard_normal((2, 5, 5, 2)).astype(np.float32)
+        layer.forward(x, train=True)
+        layer.forward(x, train=False)
+        assert layer._cols is None  # the training pass's columns are dropped too
+
     def test_avgpool_constant_preserved(self):
         from respdl.nn import AvgPool2d
 
