@@ -16,14 +16,16 @@ comments; unknown keys are rejected. Exit codes: 0 success, 1 usage error,
 from __future__ import annotations
 
 import argparse
+import os
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 
 from . import dsp, harness, ingest, models, synth
 from .errors import NumericalError, ParameterError, ParseError, RespdlError
-from .harness import CONFIG_KEYS
+from .harness import CONFIG_KEYS, IDENTITY_KEYS
 from .nn.gradcheck import standard_suite
 
 CONFIG_HELP = {
@@ -44,7 +46,9 @@ CONFIG_HELP = {
     "audio_dir": "directory of WAV + annotation files",
     "diagnosis_file": "patient_id,diagnosis text file",
     "out_dir": "root directory for run outputs",
-    "jobs": "worker processes for independent folds/sweep points",
+    "jobs": "worker processes training (fold, member) pairs side by side, one BLAS "
+            "thread each; default every usable core, lowered to what memory allows; "
+            "1 trains in this process",
     "epochs": "training epochs",
     "batch_size": "mini-batch size",
     "lr": "Adam learning rate",
@@ -55,7 +59,8 @@ CONFIG_HELP = {
     "seed": "training seed (init, shuffling, dropout, mixup)",
 }
 
-# Data paths: eval takes them from the command line when given, since a
+# Data paths: stored absolute, so a checkpoint can be scored from any
+# directory; eval takes them from the command line when given, since a
 # checkpoint may be scored where its training data lives elsewhere.
 DEPLOYMENT_KEYS = ("audio_dir", "diagnosis_file")
 
@@ -96,7 +101,8 @@ def parse_config_file(path) -> dict:
 
 
 def build_config(args, base: harness.ExperimentConfig | None = None) -> harness.ExperimentConfig:
-    """``base`` (default: the built-in defaults), then the config file, then flags."""
+    """``base`` (default: the built-in defaults), then the config file, then
+    flags; data paths are made absolute."""
     try:
         values = parse_config_file(args.config) if getattr(args, "config", None) else {}
         values.update({
@@ -104,9 +110,11 @@ def build_config(args, base: harness.ExperimentConfig | None = None) -> harness.
             for key in CONFIG_KEYS
             if getattr(args, f"cfg_{key}", None) is not None
         })
-        return harness.config_from_dict(values, base)
+        cfg = harness.config_from_dict(values, base)
     except ParameterError as exc:
         raise UsageError(str(exc)) from exc
+    return replace(cfg, **{key: os.path.abspath(getattr(cfg, key))
+                           for key in DEPLOYMENT_KEYS if getattr(cfg, key)})
 
 
 def build_parser() -> _Parser:
@@ -272,7 +280,7 @@ def cmd_eval(args) -> int:
     ckpt = harness.load_fold_checkpoint(args.checkpoint)
     cfg = build_config(args, base=ckpt.config)
     trained, asked = harness.config_to_dict(ckpt.config), harness.config_to_dict(cfg)
-    for key in CONFIG_KEYS:
+    for key in IDENTITY_KEYS:
         if key not in DEPLOYMENT_KEYS and asked[key] != trained[key]:
             raise UsageError(f"--{key.replace('_', '-')} {asked[key]} differs from "
                              f"the checkpoint's {trained[key]}")

@@ -2,6 +2,10 @@
 entity-level evaluation, cross-validation, challenge metrics, fold
 checkpoints, and the cycle-length / time-resolution sweeps.
 
+Cross-validation trains each (fold, member) pair as an independent job, in
+a pool of worker processes that each run BLAS on one thread, and scores
+and fuses the folds in the calling process.
+
 Evaluation is always at entity level (cycles for Task 1, recordings for
 Task 2): patch probabilities are averaged per entity, the argmax is the
 prediction. Specificity is accuracy over the baseline class (Normal or
@@ -11,8 +15,10 @@ headline score is their arithmetic mean.
 
 from __future__ import annotations
 
+import ctypes
 import hashlib
 import logging
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
@@ -40,11 +46,20 @@ CYCLE_SWEEP_LENGTHS = (2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0)
 TIMERES_SWEEP_WIDTHS = (32, 64, 96, 128, 160)
 
 
+def usable_cores() -> int:
+    """CPU cores this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 @dataclass
 class ExperimentConfig:
     """Everything a run needs; flat key=value serializable.
 
     Task 2 ignores ``min_cycle_seconds`` (entire recordings are used).
+    ``jobs`` and ``out_dir`` say how and where a run executes, not what it
+    computes, so they are not part of its identity (``config_text``).
     """
 
     task: str = "Task1_4class"
@@ -64,7 +79,7 @@ class ExperimentConfig:
     audio_dir: str = ""
     diagnosis_file: str = ""
     out_dir: str = "runs"
-    jobs: int = 1
+    jobs: int = field(default_factory=usable_cores)
     train: TrainConfig = field(default_factory=TrainConfig)
 
     def validate(self):
@@ -91,6 +106,8 @@ class ExperimentConfig:
 
 _TRAIN_KEYS = tuple(f.name for f in fields(TrainConfig))
 CONFIG_KEYS = tuple(f.name for f in fields(ExperimentConfig) if f.name != "train") + _TRAIN_KEYS
+EXECUTION_KEYS = ("jobs", "out_dir")
+IDENTITY_KEYS = tuple(key for key in CONFIG_KEYS if key not in EXECUTION_KEYS)
 
 
 def config_to_dict(cfg: ExperimentConfig) -> dict[str, str]:
@@ -132,9 +149,10 @@ def config_from_dict(values: dict[str, str], base: ExperimentConfig | None = Non
 
 
 def config_text(cfg: ExperimentConfig) -> str:
-    """Canonical echoed form: sorted key=value lines."""
+    """The run's identity: sorted key=value lines of every key except the
+    execution keys, so the same run hashes the same on any machine."""
     d = config_to_dict(cfg)
-    return "\n".join(f"{k}={d[k]}" for k in sorted(d)) + "\n"
+    return "\n".join(f"{k}={d[k]}" for k in sorted(IDENTITY_KEYS)) + "\n"
 
 
 def config_hash(cfg: ExperimentConfig) -> str:
@@ -180,13 +198,16 @@ def save_fold_checkpoint(path, config: ExperimentConfig, model_name: str, fold_i
 def load_fold_checkpoint(path) -> FoldCheckpoint:
     """Read a checkpoint written by ``save_fold_checkpoint`` and rebuild its
     model. A header field that is missing, unknown or unparsable is a
-    FormatError."""
+    FormatError. Execution keys, which headers written before they left the
+    run identity still hold, are ignored."""
     header, arrays = load_checkpoint(path)
     values = dict(line.partition("=")[::2] for line in header.splitlines())
-    missing = [key for key in CONFIG_KEYS + _MEMBER_KEYS if key not in values]
+    missing = [key for key in IDENTITY_KEYS + _MEMBER_KEYS if key not in values]
     if missing:
         raise FormatError(f"{path}: checkpoint header lacks {', '.join(missing)}")
     member = {key: values.pop(key) for key in _MEMBER_KEYS}
+    for key in EXECUTION_KEYS:
+        values.pop(key, None)
     try:
         config = config_from_dict(values)
         stats = dsp.NormStats(mean=float(member["norm_mean"]), std=float(member["norm_std"]))
@@ -441,12 +462,153 @@ class FoldResult:
     train_accs: dict  # model name -> list of per-epoch train accuracy
 
 
+@dataclass
+class MemberResult:
+    """One member model trained on one fold."""
+
+    name: str
+    history: list  # (epoch, train_loss, heldout_score) per epoch
+    train_accs: list
+    checkpoint: dict  # {param or buffer name: array}
+    heldout_probs: dict  # entity id -> class probabilities
+    stats: dsp.NormStats
+
+
+@dataclass
+class FoldInputs:
+    """A fold's normalized training patches and held-out entities."""
+
+    stats: dsp.NormStats
+    x: np.ndarray
+    y: np.ndarray
+    heldout_groups: dict  # entity id -> (n, 64, width) patches
+    truths: dict  # entity id -> class index
+
+
 def _model_names(config: ExperimentConfig):
     return ("cnn_moe", "crnn") if config.model == "ensemble" else (config.model,)
 
 
 def _fold_seed(config: ExperimentConfig, fold_id: int, model_index: int) -> list[int]:
     return [config.train.seed, fold_id, model_index]
+
+
+def _split(features: dict, folds: ingest.FoldAssignment, fold_id: int):
+    heldout_ids = sorted(e for e in features if folds.assignment[e] == fold_id)
+    train_ids = sorted(e for e in features if folds.assignment[e] != fold_id)
+    if not heldout_ids or not train_ids:
+        raise ParameterError(f"fold {fold_id}: empty train or held-out split")
+    return train_ids, heldout_ids
+
+
+def fold_inputs(
+    config: ExperimentConfig,
+    fold_id: int,
+    features: dict[str, EntityFeatures],
+    folds: ingest.FoldAssignment,
+) -> FoldInputs:
+    """Normalize with statistics fit on the training folds only, then cut
+    the training set and the held-out entities into patches."""
+    train_ids, heldout_ids = _split(features, folds, fold_id)
+    stats = dsp.fit_norm_stats([features[e].spec for e in train_ids])
+    dtype = np.float32
+
+    def patches(eid):
+        return normalized_patches(features[eid].spec, stats, config.patch_width, dtype)
+
+    train_groups = [patches(eid) for eid in train_ids]
+    x = np.concatenate(train_groups)
+    labels = [features[eid].label for eid in train_ids]
+    y = np.repeat(np.eye(config.n_classes, dtype=dtype)[labels],
+                  [len(g) for g in train_groups], axis=0)
+    del train_groups
+    return FoldInputs(stats, x, y, {eid: patches(eid) for eid in heldout_ids},
+                      {eid: features[eid].label for eid in heldout_ids})
+
+
+def _argmax(probs: dict) -> dict:
+    return {eid: int(np.argmax(p)) for eid, p in probs.items()}
+
+
+def train_member(config: ExperimentConfig, fold_id: int, name: str,
+                 inputs: FoldInputs) -> MemberResult:
+    """Train one member on a fold and score it on the held-out entities.
+
+    The checkpoint kept is the best held-out-score epoch (or the final one
+    under ``select=final``). A NaN abort retains the last good snapshot on
+    the raised NumericalError, with the member, fold and norm statistics.
+    """
+    model_index = _model_names(config).index(name)
+    seed_seq = np.random.SeedSequence(_fold_seed(config, fold_id, model_index))
+    init_seed, loop_seed = (int(s.generate_state(1)[0]) for s in seed_seq.spawn(2))
+    model = build_member(config, name, seed=init_seed, dtype=inputs.x.dtype)
+    best = {"score": -1.0, "snap": _snapshot(model)}
+
+    def score_fn(m, epoch):
+        probs = evaluate_entities(m, inputs.heldout_groups)
+        score = compute_metrics(_argmax(probs), inputs.truths, config.task).icbhi_score
+        if score > best["score"]:
+            best["score"] = score
+            best["snap"] = _snapshot(m)
+        return score
+
+    try:
+        history, train_accs = train_loop(
+            model,
+            inputs.x,
+            inputs.y,
+            config.train,
+            mixup_cfg=MixupConfig(alpha=config.mixup_alpha, enabled=config.mixup),
+            seed=loop_seed,
+            score_fn=score_fn,
+            early_stop_acc=config.early_stop_acc,
+            early_stop_patience=config.early_stop_patience,
+        )
+    except NumericalError as exc:
+        _restore(model, best["snap"])
+        exc.last_good = _snapshot(model)
+        exc.model_name = name
+        exc.fold_id = fold_id
+        exc.stats = inputs.stats
+        log.error("fold %d %s: NaN abort, retaining last good snapshot", fold_id, name)
+        raise
+    if config.select == "best":
+        _restore(model, best["snap"])
+    return MemberResult(name, history, train_accs, _snapshot(model),
+                        evaluate_entities(model, inputs.heldout_groups), inputs.stats)
+
+
+def fold_result(
+    config: ExperimentConfig,
+    fold_id: int,
+    features: dict[str, EntityFeatures],
+    folds: ingest.FoldAssignment,
+    members: list[MemberResult],
+) -> FoldResult:
+    """Score a fold's trained members at entity level; the ensemble fuses
+    its two members' held-out probabilities."""
+    train_ids, heldout_ids = _split(features, folds, fold_id)
+    truths = {eid: features[eid].label for eid in heldout_ids}
+    component_metrics = {
+        m.name: compute_metrics(_argmax(m.heldout_probs), truths, config.task) for m in members
+    }
+    if config.model == "ensemble":
+        cnn_moe, crnn = (m.heldout_probs for m in members)
+        fused = {eid: models.ensemble_fuse(cnn_moe[eid], crnn[eid]) for eid in heldout_ids}
+        metrics = compute_metrics(_argmax(fused), truths, config.task)
+    else:
+        metrics = component_metrics[config.model]
+    return FoldResult(
+        fold_id=fold_id,
+        metrics=metrics,
+        histories={m.name: m.history for m in members},
+        train_ids=train_ids,
+        heldout_ids=heldout_ids,
+        stats=members[0].stats,
+        component_metrics=component_metrics,
+        checkpoints={m.name: m.checkpoint for m in members},
+        train_accs={m.name: m.train_accs for m in members},
+    )
 
 
 def run_fold(
@@ -457,106 +619,13 @@ def run_fold(
 ) -> FoldResult:
     """Train on the k-1 other folds, evaluate on this one at entity level.
 
-    Normalization statistics are fit on the training folds only. For the
-    ensemble the two members are trained independently and fused at
-    inference. The history records one row per epoch; the checkpoint kept
-    is the best held-out-score epoch (or the final one under
-    ``select=final``). A NaN abort retains the last good snapshot.
+    For the ensemble the two members are trained one after the other on the
+    same inputs and fused at inference. The history records one row per
+    epoch.
     """
-    heldout_ids = sorted(e for e in features if folds.assignment[e] == fold_id)
-    train_ids = sorted(e for e in features if folds.assignment[e] != fold_id)
-    if not heldout_ids or not train_ids:
-        raise ParameterError(f"fold {fold_id}: empty train or held-out split")
-
-    stats = dsp.fit_norm_stats([features[e].spec for e in train_ids])
-    dtype = np.float32
-    n_classes = config.n_classes
-
-    def patches(eid):
-        return normalized_patches(features[eid].spec, stats, config.patch_width, dtype)
-
-    train_groups = [patches(eid) for eid in train_ids]
-    x = np.concatenate(train_groups)
-    labels = [features[eid].label for eid in train_ids]
-    y = np.repeat(np.eye(n_classes, dtype=dtype)[labels], [len(g) for g in train_groups], axis=0)
-    del train_groups
-
-    heldout_groups = {eid: patches(eid) for eid in heldout_ids}
-    truths = {eid: features[eid].label for eid in heldout_ids}
-
-    mixup_cfg = MixupConfig(alpha=config.mixup_alpha, enabled=config.mixup)
-    histories = {}
-    checkpoints = {}
-    accs = {}
-    entity_probs = {}
-    for model_index, name in enumerate(_model_names(config)):
-        seed_seq = np.random.SeedSequence(_fold_seed(config, fold_id, model_index))
-        init_seed, loop_seed = (int(s.generate_state(1)[0]) for s in seed_seq.spawn(2))
-        model = build_member(config, name, seed=init_seed, dtype=dtype)
-        best = {"score": -1.0, "snap": _snapshot(model)}
-
-        def score_fn(m, epoch, _best=best):
-            probs = evaluate_entities(m, heldout_groups)
-            preds = {eid: int(np.argmax(p)) for eid, p in probs.items()}
-            score = compute_metrics(preds, truths, config.task).icbhi_score
-            if score > _best["score"]:
-                _best["score"] = score
-                _best["snap"] = _snapshot(m)
-            return score
-
-        try:
-            history, train_accs = train_loop(
-                model,
-                x,
-                y,
-                config.train,
-                mixup_cfg=mixup_cfg,
-                seed=loop_seed,
-                score_fn=score_fn,
-                early_stop_acc=config.early_stop_acc,
-                early_stop_patience=config.early_stop_patience,
-            )
-        except NumericalError as exc:
-            _restore(model, best["snap"])
-            exc.last_good = _snapshot(model)
-            exc.model_name = name
-            exc.fold_id = fold_id
-            exc.stats = stats
-            log.error("fold %d %s: NaN abort, retaining last good snapshot", fold_id, name)
-            raise
-        if config.select == "best":
-            _restore(model, best["snap"])
-        histories[name] = history
-        accs[name] = train_accs
-        checkpoints[name] = _snapshot(model)
-        entity_probs[name] = evaluate_entities(model, heldout_groups)
-
-    component_metrics = {}
-    for name, probs in entity_probs.items():
-        preds = {eid: int(np.argmax(p)) for eid, p in probs.items()}
-        component_metrics[name] = compute_metrics(preds, truths, config.task)
-
-    if config.model == "ensemble":
-        fused = {
-            eid: models.ensemble_fuse(entity_probs["cnn_moe"][eid], entity_probs["crnn"][eid])
-            for eid in heldout_ids
-        }
-        preds = {eid: int(np.argmax(p)) for eid, p in fused.items()}
-        metrics = compute_metrics(preds, truths, config.task)
-    else:
-        metrics = component_metrics[config.model]
-
-    return FoldResult(
-        fold_id=fold_id,
-        metrics=metrics,
-        histories=histories,
-        train_ids=train_ids,
-        heldout_ids=heldout_ids,
-        stats=stats,
-        component_metrics=component_metrics,
-        checkpoints=checkpoints,
-        train_accs=accs,
-    )
+    inputs = fold_inputs(config, fold_id, features, folds)
+    members = [train_member(config, fold_id, name, inputs) for name in _model_names(config)]
+    return fold_result(config, fold_id, features, folds, members)
 
 
 @dataclass
@@ -579,9 +648,89 @@ def _mean_metrics(per_fold: list[Metrics]) -> Metrics:
     )
 
 
-def _run_fold_job(args):
-    config, fold_id, features, folds = args
-    return run_fold(config, fold_id, features, folds)
+# Peak resident memory of one training worker, fit to measured peaks of
+# single-model processes: 1.93 GB (CNN-MoE) and 2.41 GB (C-RNN) at batch 50
+# x width 128, 0.36 GB at the desk batch 8 x width 32. The worker's fold
+# patches (float32, 64 bands) come on top.
+_WORKER_BASE_MB = 300.0
+_WORKER_MB_PER_BATCH_FRAME = {"cnn_moe": 0.26, "crnn": 0.34}
+
+
+def worker_mb(config: ExperimentConfig, features: dict[str, EntityFeatures]) -> float:
+    """Estimated peak MB of one worker training ``config``'s members."""
+    frames = config.train.batch_size * config.patch_width
+    per_frame = max(_WORKER_MB_PER_BATCH_FRAME[name] for name in _model_names(config))
+    patch_frames = sum(max(f.spec.shape[1], config.patch_width) for f in features.values())
+    return _WORKER_BASE_MB + per_frame * frames + patch_frames * dsp.N_CHANNELS * 4 / 2**20
+
+
+def _mem_available_mb() -> float | None:
+    """``MemAvailable`` from /proc/meminfo, or None where there is none."""
+    try:
+        with open("/proc/meminfo") as meminfo:
+            for line in meminfo:
+                if line.startswith("MemAvailable:"):
+                    return int(line.split()[1]) / 1024
+    except OSError:
+        pass
+    return None
+
+
+def worker_count(config: ExperimentConfig, n_jobs: int,
+                 features: dict[str, EntityFeatures]) -> int:
+    """min(jobs, n_jobs), lowered (and logged) to the workers whose
+    estimated peak fits in the memory available now."""
+    workers = min(config.jobs, n_jobs)
+    available = _mem_available_mb()
+    if workers < 2 or available is None:
+        return workers
+    need = worker_mb(config, features)
+    fit = max(1, int(available // need))
+    if fit < workers:
+        log.warning("%d workers of ~%.0f MB each do not fit in %.0f MB available; using %d",
+                    workers, need, available, fit)
+        return fit
+    return workers
+
+
+def _openblas():
+    """numpy's bundled OpenBLAS library, or None when it has none."""
+    libs = Path(np.__file__).resolve().parent.parent / "numpy.libs"
+    for path in sorted(libs.glob("libscipy_openblas64_*.so")):
+        try:
+            return ctypes.CDLL(str(path))
+        except OSError:
+            continue
+    return None
+
+
+_WORKER_DATA: dict = {}  # set once per pool worker process by its initializer
+
+
+def _start_worker(features, folds):
+    """Pool initializer: pin BLAS to one thread (best effort), so workers
+    do not contend for the cores, and keep the run's data for every job."""
+    set_threads = getattr(_openblas(), "scipy_openblas_set_num_threads64_", None)
+    if set_threads is not None:
+        set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
+        set_threads(1)
+    _WORKER_DATA.update(features=features, folds=folds)
+
+
+def _member_job(job) -> MemberResult:
+    config, fold_id, name = job
+    inputs = fold_inputs(config, fold_id, _WORKER_DATA["features"], _WORKER_DATA["folds"])
+    return train_member(config, fold_id, name, inputs)
+
+
+def member_pool(workers: int, features, folds) -> ProcessPoolExecutor:
+    """Worker processes with one BLAS thread each, holding ``features`` and
+    ``folds``. Under the default ``fork`` start method on Linux the workers
+    share the parent's feature arrays copy-on-write instead of each holding
+    a pickled copy; OpenBLAS shuts its threads down around a fork, and the
+    executor forks every worker before it starts its own thread."""
+    return ProcessPoolExecutor(max_workers=workers, initializer=_start_worker,
+                               initargs=(features, folds))
 
 
 def run_cv(
@@ -590,12 +739,27 @@ def run_cv(
     folds: ingest.FoldAssignment,
     fold_ids=None,
 ) -> CVResult:
-    """Run every fold (optionally in parallel processes) and average."""
+    """Run every fold and average.
+
+    Each (fold, member) pair is an independent job. With more than one
+    worker (``worker_count``) the jobs run side by side in a process pool
+    and each fold is scored in this process, in fold order; otherwise the
+    folds run here one after another.
+    """
     fold_ids = list(fold_ids) if fold_ids is not None else list(range(folds.k))
-    if config.jobs > 1 and len(fold_ids) > 1:
-        jobs = [(config, f, features, folds) for f in fold_ids]
-        with ProcessPoolExecutor(max_workers=config.jobs) as pool:
-            results = list(pool.map(_run_fold_job, jobs))
+    names = _model_names(config)
+    jobs = [(config, f, name) for f in fold_ids for name in names]
+    workers = worker_count(config, len(jobs), features)
+    if workers > 1:
+        pool = member_pool(workers, features, folds)
+        try:
+            members = list(pool.map(_member_job, jobs))
+        finally:
+            pool.shutdown(cancel_futures=True)
+        results = [
+            fold_result(config, f, features, folds, members[i * len(names):(i + 1) * len(names)])
+            for i, f in enumerate(fold_ids)
+        ]
     else:
         results = [run_fold(config, f, features, folds) for f in fold_ids]
     mean = _mean_metrics([r.metrics for r in results])
@@ -692,9 +856,7 @@ def _sweep_point_metrics(config: ExperimentConfig, manifest, features, full_cv: 
     folds = ingest.make_folds(
         manifest, config.k, config.fold_seed, config.task, config.patient_independent
     )
-    if full_cv:
-        return run_cv(config, features, folds).mean
-    return run_fold(config, 0, features, folds).metrics
+    return run_cv(config, features, folds, fold_ids=None if full_cv else [0]).mean
 
 
 def _relabel(features: dict[str, EntityFeatures], manifest: ingest.DatasetManifest,

@@ -1,12 +1,11 @@
 """End-to-end command-line behavior: exit codes, artifacts, precedence."""
 
-import os
 import shutil
 
 import numpy as np
 import pytest
 
-from respdl import harness, ingest
+from respdl import dsp, harness, ingest
 from respdl.cli import CONFIG_KEYS, build_parser, main
 from respdl.errors import NumericalError
 
@@ -292,6 +291,32 @@ class TestEvalAndPredict:
         assert capsys.readouterr().out == expected
         assert self._eval(trained_run, tmp_path / "nothere") == 2
 
+    def test_eval_ignores_execution_flags(self, trained_run, cli_dataset, tmp_path, capsys):
+        assert self._eval(trained_run, cli_dataset) == 0
+        expected = capsys.readouterr().out
+        assert self._eval(trained_run, cli_dataset, "--jobs", "3",
+                          "--out-dir", str(tmp_path / "other")) == 0
+        assert capsys.readouterr().out == expected
+
+    def test_eval_from_another_directory(self, cli_dataset, tmp_path, monkeypatch, capsys):
+        # trained with relative data paths; the checkpoint stores them resolved
+        shutil.copytree(cli_dataset, tmp_path / "data")
+        monkeypatch.chdir(tmp_path)
+        assert run_cli("train", "--audio-dir", "data", "--diagnosis-file", "data/diagnosis.csv",
+                       "--min-cycle-seconds", "0.5", "--patch-width", "32", "--mixup", "false",
+                       "--epochs", "1", "--batch-size", "8", "--lr", "1e-3",
+                       "--out-dir", "runs", "--fold", "0") == 0
+        run = next((tmp_path / "runs").glob("run_*"))
+        assert f"audio_dir={tmp_path / 'data'}\n" in (run / "config.txt").read_text()
+        row = (run / "report.csv").read_text().splitlines()[1].split(",")
+        spec, sen, score = (float(v) for v in row[3:6])
+        capsys.readouterr()
+        (tmp_path / "elsewhere").mkdir()
+        monkeypatch.chdir(tmp_path / "elsewhere")
+        assert run_cli("eval", "--checkpoint", str(run / "ckpt_cnn_moe_fold0.rsdl")) == 0
+        assert capsys.readouterr().out == \
+            f"fold 0: spec={spec:.4f} sen={sen:.4f} score={score:.4f}\n"
+
     def test_eval_uses_checkpoint_fold_split(self, cli_dataset, tmp_path, capsys):
         run = train_run(cli_dataset, tmp_path, "--k", "4", "--fold-seed", "3", "--fold", "2")
         row = (run / "report.csv").read_text().splitlines()[1].split(",")
@@ -387,6 +412,33 @@ class TestEvalAndPredict:
         aborted = next(tmp_path.glob("run_*/ckpt_cnn_moe_fold1.aborted.rsdl"))
         ckpt = harness.load_fold_checkpoint(aborted)
         assert (ckpt.fold_id, ckpt.config.patch_width) == (1, 32)
+
+    def test_nan_abort_in_pooled_member_checkpoint_is_readable(self, cli_dataset, tmp_path,
+                                                               monkeypatch, capsys):
+        def explode(model, *args, **kwargs):
+            if model.name == "crnn":
+                raise NumericalError("non-finite values in predictions")
+            return [(1, 1.0, 0.5)], [0.5]
+
+        monkeypatch.setattr(harness, "train_loop", explode)
+        code = run_cli("train", "--audio-dir", str(cli_dataset),
+                       "--diagnosis-file", str(cli_dataset / "diagnosis.csv"),
+                       "--model", "ensemble", "--k", "2", "--jobs", "2",
+                       "--min-cycle-seconds", "0.5", "--patch-width", "32", "--gru-hidden", "64",
+                       "--out-dir", str(tmp_path))
+        assert code == 3
+        assert "NaN abort; last good checkpoint saved to" in capsys.readouterr().err
+        aborted, = tmp_path.glob("run_*/ckpt_*.aborted.rsdl")
+        assert aborted.name == "ckpt_crnn_fold0.aborted.rsdl"
+        ckpt = harness.load_fold_checkpoint(aborted)
+        assert (ckpt.fold_id, ckpt.model.name, ckpt.config.model) == (0, "crnn", "ensemble")
+        features = harness.build_features(
+            ingest.build_manifest(cli_dataset, cli_dataset / "diagnosis.csv", "Task1_4class"),
+            "Task1_4class", 0.5)
+        folds = dict(line.split(",") for line in
+                     (aborted.parent / "folds.csv").read_text().split())
+        train_ids = sorted(eid for eid, fold in folds.items() if fold != "0")
+        assert ckpt.stats == dsp.fit_norm_stats([features[e].spec for e in train_ids])
 
 
 class TestIngestCommand:

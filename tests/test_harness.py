@@ -1,5 +1,8 @@
 """Metrics, experiment config, fold training, CV reports and sweeps."""
 
+import ctypes
+import logging
+
 import numpy as np
 import pytest
 
@@ -8,7 +11,6 @@ from respdl.errors import FormatError, NumericalError, ParameterError
 from respdl.harness import (
     CYCLE_SWEEP_LENGTHS,
     TIMERES_SWEEP_WIDTHS,
-    ExperimentConfig,
     SweepRow,
     compute_metrics,
 )
@@ -110,6 +112,16 @@ class TestExperimentConfig:
         c = desk_config(train=TrainConfig(epochs=61, batch_size=8, lr=1e-3, seed=11))
         assert harness.config_hash(c) != harness.config_hash(a)
 
+    def test_hash_ignores_execution_keys(self):
+        base = harness.config_hash(desk_config(jobs=1))
+        assert harness.config_hash(desk_config(jobs=4)) == base
+        assert harness.config_hash(desk_config(out_dir="/elsewhere/runs")) == base
+        text = harness.config_text(desk_config())
+        assert "jobs=" not in text and "out_dir=" not in text
+
+    def test_jobs_default_to_usable_cores(self):
+        assert desk_config().jobs == harness.usable_cores() >= 1
+
 
 def _saved_member(path, model_name="crnn"):
     cfg = desk_config(model=model_name, k=4, fold_seed=3)
@@ -156,6 +168,16 @@ class TestFoldCheckpoint:
         save_checkpoint(path, header.replace(line, replacement), arrays)
         with pytest.raises(FormatError):
             harness.load_fold_checkpoint(path)
+
+    def test_header_with_execution_keys_still_loads(self, tmp_path):
+        # headers written while jobs and out_dir were part of config_text
+        path = tmp_path / "m.rsdl"
+        cfg, _, _ = _saved_member(path)
+        header, arrays = load_checkpoint(path)
+        save_checkpoint(path, "jobs=3\nout_dir=elsewhere\n" + header, arrays)
+        ckpt = harness.load_fold_checkpoint(path)
+        assert ckpt.config == cfg
+        assert ckpt.config.jobs == harness.usable_cores()
 
     def test_missing_buffer_is_format_error(self, tmp_path):
         path = tmp_path / "m.rsdl"
@@ -320,18 +342,53 @@ class TestRunCV:
             assert score == (spec + sen) / 2.0  # exact, not approximate
 
     def test_two_jobs_bit_identical_to_one(self, synth_features, synth_folds):
-        results = {}
-        for jobs in (1, 2):
-            cfg = desk_config(train=TrainConfig(epochs=1, batch_size=8, lr=1e-3, seed=13),
-                              early_stop_acc=0.0, jobs=jobs)
-            results[jobs] = harness.run_cv(cfg, synth_features, synth_folds, fold_ids=[0, 1])
-        assert harness.report_csv(results[2]) == harness.report_csv(results[1])
-        for one, two in zip(results[1].fold_results, results[2].fold_results):
-            assert one.fold_id == two.fold_id
-            snap_one, snap_two = one.checkpoints["cnn_moe"], two.checkpoints["cnn_moe"]
-            assert snap_one.keys() == snap_two.keys()
-            for key in snap_one:
-                np.testing.assert_array_equal(snap_one[key], snap_two[key])
+        # the ensemble also covers the split into member jobs and the fuse
+        for model in ("cnn_moe", "ensemble"):
+            results = {}
+            for jobs in (1, 2):
+                cfg = desk_config(model=model, early_stop_acc=0.0, jobs=jobs,
+                                  train=TrainConfig(epochs=1, batch_size=8, lr=1e-3, seed=13))
+                results[jobs] = harness.run_cv(cfg, synth_features, synth_folds,
+                                               fold_ids=[0, 1])
+            assert harness.report_csv(results[2]) == harness.report_csv(results[1])
+            for one, two in zip(results[1].fold_results, results[2].fold_results, strict=True):
+                assert one.fold_id == two.fold_id
+                assert one.histories == two.histories
+                assert one.component_metrics == two.component_metrics
+                assert one.checkpoints.keys() == two.checkpoints.keys()
+                for name, snap_one in one.checkpoints.items():
+                    snap_two = two.checkpoints[name]
+                    assert snap_one.keys() == snap_two.keys()
+                    for key in snap_one:
+                        np.testing.assert_array_equal(snap_one[key], snap_two[key])
+
+    def test_workers_run_one_blas_thread(self, synth_folds):
+        if getattr(harness._openblas(), "scipy_openblas_get_num_threads64_", None) is None:
+            pytest.skip("numpy's OpenBLAS has no thread-count symbol")
+        with harness.member_pool(2, {}, synth_folds) as pool:
+            assert list(pool.map(_blas_threads, range(2))) == [1, 1]
+
+    def test_memory_cap_lowers_worker_count(self, synth_features, monkeypatch, caplog):
+        cfg = desk_config(model="ensemble", jobs=4)
+        need = harness.worker_mb(cfg, synth_features)
+        monkeypatch.setattr(harness, "_mem_available_mb", lambda: 100 * need)
+        assert harness.worker_count(cfg, 10, synth_features) == 4
+        assert harness.worker_count(cfg, 3, synth_features) == 3
+        monkeypatch.setattr(harness, "_mem_available_mb", lambda: 2.5 * need)
+        with caplog.at_level(logging.WARNING, logger="respdl.harness"):
+            assert harness.worker_count(cfg, 10, synth_features) == 2
+        assert "using 2" in caplog.text
+        monkeypatch.setattr(harness, "_mem_available_mb", lambda: 0.5 * need)
+        assert harness.worker_count(cfg, 10, synth_features) == 1
+
+    def test_worker_estimate_fits_measured_peaks(self):
+        paper = dict(patch_width=128, train=TrainConfig(batch_size=50))
+        cnn_moe = harness.worker_mb(desk_config(model="cnn_moe", **paper), {})
+        crnn = harness.worker_mb(desk_config(model="crnn", **paper), {})
+        desk = harness.worker_mb(desk_config(model="ensemble"), {})
+        assert 1930 <= cnn_moe <= 1.1 * 1930
+        assert 2410 <= crnn <= 1.1 * 2410
+        assert 360 <= desk <= 1.1 * 360
 
     def test_duplicated_fold_mean_equals_each(self, synth_features, synth_folds):
         m = harness._mean_metrics([
@@ -344,6 +401,12 @@ class TestRunCV:
             harness.Metrics(0.9, 0.9, 0.9, [[1, 0], [0, 1]], 2),
         ])
         assert m2.icbhi_score == pytest.approx(0.85)
+
+
+def _blas_threads(_):
+    get_threads = harness._openblas().scipy_openblas_get_num_threads64_
+    get_threads.argtypes, get_threads.restype = [], ctypes.c_int
+    return get_threads()
 
 
 class TestSweeps:

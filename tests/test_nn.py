@@ -18,7 +18,6 @@ from respdl.nn import (
     TrainConfig,
     add_l2_grads,
     assign_params,
-    cross_entropy,
     grad_check,
     l2_penalty,
     load_checkpoint,
