@@ -18,8 +18,8 @@ from __future__ import annotations
 import ctypes
 import hashlib
 import logging
+import multiprocessing
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
@@ -649,11 +649,12 @@ def _mean_metrics(per_fold: list[Metrics]) -> Metrics:
 
 
 # Peak resident memory of one training worker, fit to measured peaks of
-# single-model processes: 1.93 GB (CNN-MoE) and 2.41 GB (C-RNN) at batch 50
-# x width 128, 0.36 GB at the desk batch 8 x width 32. The worker's fold
-# patches (float32, 64 bands) come on top.
-_WORKER_BASE_MB = 300.0
-_WORKER_MB_PER_BATCH_FRAME = {"cnn_moe": 0.26, "crnn": 0.34}
+# single-model processes (two epochs of two training steps, each epoch
+# followed by a 64-patch inference): 1.31 GB (CNN-MoE) and 1.49 GB (C-RNN)
+# at batch 50 x width 128, 0.30 GB at the desk batch 8 x width 32 (C-RNN,
+# GRU 64). The worker's fold patches (float32, 64 bands) come on top.
+_WORKER_BASE_MB = 260.0
+_WORKER_MB_PER_BATCH_FRAME = {"cnn_moe": 0.17, "crnn": 0.20}
 
 
 def worker_mb(config: ExperimentConfig, features: dict[str, EntityFeatures]) -> float:
@@ -717,20 +718,21 @@ def _start_worker(features, folds):
     _WORKER_DATA.update(features=features, folds=folds)
 
 
-def _member_job(job) -> MemberResult:
-    config, fold_id, name = job
+def _member_job(numbered_job) -> tuple[int, MemberResult]:
+    i, (config, fold_id, name) = numbered_job
     inputs = fold_inputs(config, fold_id, _WORKER_DATA["features"], _WORKER_DATA["folds"])
-    return train_member(config, fold_id, name, inputs)
+    return i, train_member(config, fold_id, name, inputs)
 
 
-def member_pool(workers: int, features, folds) -> ProcessPoolExecutor:
+def member_pool(workers: int, features, folds):
     """Worker processes with one BLAS thread each, holding ``features`` and
-    ``folds``. Under the default ``fork`` start method on Linux the workers
-    share the parent's feature arrays copy-on-write instead of each holding
-    a pickled copy; OpenBLAS shuts its threads down around a fork, and the
-    executor forks every worker before it starts its own thread."""
-    return ProcessPoolExecutor(max_workers=workers, initializer=_start_worker,
-                               initargs=(features, folds))
+    ``folds``. The workers are forked, so they share the parent's feature
+    arrays copy-on-write instead of each holding a pickled copy; OpenBLAS
+    shuts its threads down around a fork, and the pool forks every worker
+    before it starts its own threads. Leaving the pool's ``with`` block
+    terminates the workers, jobs still running included."""
+    return multiprocessing.get_context("fork").Pool(
+        workers, initializer=_start_worker, initargs=(features, folds))
 
 
 def run_cv(
@@ -744,18 +746,19 @@ def run_cv(
     Each (fold, member) pair is an independent job. With more than one
     worker (``worker_count``) the jobs run side by side in a process pool
     and each fold is scored in this process, in fold order; otherwise the
-    folds run here one after another.
+    folds run here one after another. In the pool, the first member to
+    fail (in time, not in job order) is raised at once, and the members
+    still training are stopped.
     """
     fold_ids = list(fold_ids) if fold_ids is not None else list(range(folds.k))
     names = _model_names(config)
     jobs = [(config, f, name) for f in fold_ids for name in names]
     workers = worker_count(config, len(jobs), features)
     if workers > 1:
-        pool = member_pool(workers, features, folds)
-        try:
-            members = list(pool.map(_member_job, jobs))
-        finally:
-            pool.shutdown(cancel_futures=True)
+        members = [None] * len(jobs)
+        with member_pool(workers, features, folds) as pool:
+            for i, member in pool.imap_unordered(_member_job, enumerate(jobs)):
+                members[i] = member
         results = [
             fold_result(config, f, features, folds, members[i * len(names):(i + 1) * len(names)])
             for i, f in enumerate(fold_ids)

@@ -35,6 +35,7 @@ from .nn.layers import (
     Param,
     ReLU,
     softmax,
+    take_cache,
     xavier_uniform,
 )
 from .nn.rnn import BiGRU
@@ -79,17 +80,18 @@ class MoELayer:
             f"{name}.experts.b", np.zeros((n_experts, n_classes), dtype=dtype), decay=False
         )
         self.gate = Dense(in_dim, n_experts, rng, name=f"{name}.gate", dtype=dtype)
+        self.name = name
         self._cache = None
 
     def forward(self, x, train=False):
         e_pre = np.einsum("bi,jin->bjn", x, self.expert_w.data) + self.expert_b.data
         e = np.maximum(e_pre, 0.0)
         g = softmax(self.gate.forward(x, train))
-        self._cache = (x, e_pre > 0, e, g)
+        self._cache = (x, e_pre > 0, e, g) if train else None
         return np.einsum("bjn,bj->bn", e, g)
 
     def backward(self, dlogits):
-        x, mask, e, g = self._cache
+        x, mask, e, g = take_cache(self)
         de = g[:, :, None] * dlogits[:, None, :]
         dg = (e * dlogits[:, None, :]).sum(axis=2)
         de_pre = de * mask
@@ -126,7 +128,7 @@ def _conv_block(in_ch, out_ch, kernel, pool, p_drop, rng, drop_rng, name, dtype,
     layers = [
         BatchNorm2d(in_ch, name=f"{name}.bn_in", dtype=dtype),
         Conv2d(in_ch, out_ch, kernel[0], kernel[1], rng, name=f"{name}.conv", dtype=dtype),
-        ReLU(),
+        ReLU(name=f"{name}.relu"),
         BatchNorm2d(out_ch, name=f"{name}.bn_out", dtype=dtype),
     ]
     if pool is not None:
@@ -287,10 +289,10 @@ class CRNN(Sequential):
         self.gru = BiGRU(512, gru_hidden, init_rng, dtype=dtype)
         self.feat_pool = FeatureAveragePool()
         self.fc1 = Dense(2 * patch_width, 1024, init_rng, name="fc1", dtype=dtype)
-        self.relu1 = ReLU()
+        self.relu1 = ReLU(name="relu1")
         self.drop1 = Dropout(dropout_rates[4], drop_rng)
         self.fc2 = Dense(1024, 1024, init_rng, name="fc2", dtype=dtype)
-        self.relu2 = ReLU()
+        self.relu2 = ReLU(name="relu2")
         self.drop2 = Dropout(dropout_rates[5], drop_rng)
         self.fc3 = Dense(1024, n_classes, init_rng, name="fc3", dtype=dtype)
         self.head = (self.drop_freq, self.gru, self.feat_pool, self.fc1, self.relu1,

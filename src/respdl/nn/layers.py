@@ -14,6 +14,15 @@ is one per-channel affine map forward, and backward two per-channel
 reductions plus one per-channel affine combination of the output gradient
 and the re-centered input, built in place; it caches its input rather than
 a normalized copy.
+
+A layer keeps the activations its ``backward`` reads only from a
+``forward(x, train=True)`` until that ``backward``, which takes them and
+clears its cache: inference keeps none, and after a training step a layer
+holds only its parameters, their gradients and (batch normalization) its
+running statistics. A ``backward`` with no training forward before it
+raises ``ParameterError`` naming the layer. The pooling layers keep only
+an input shape, and dropout outside training is the identity, backward
+too; neither checks.
 """
 
 from __future__ import annotations
@@ -22,7 +31,7 @@ import logging
 
 import numpy as np
 
-from ..errors import ShapeError
+from ..errors import ParameterError, ShapeError
 
 log = logging.getLogger(__name__)
 
@@ -66,6 +75,18 @@ def orthogonal(rng, shape, dtype):
     return q.astype(dtype)
 
 
+def take_cache(layer, attr="_cache"):
+    """Return the cache a training forward left in ``layer.<attr>`` and
+    clear it, so it lives only until the backward that reads it."""
+    cache = getattr(layer, attr)
+    if cache is None:
+        raise ParameterError(
+            f"{layer.name}: backward needs a forward(x, train=True) before it"
+        )
+    setattr(layer, attr, None)
+    return cache
+
+
 def softmax(x: np.ndarray, axis: int = -1) -> np.ndarray:
     """Numerically stable softmax (invariant to adding a constant)."""
     shifted = x - x.max(axis=axis, keepdims=True)
@@ -79,6 +100,7 @@ class Dense:
     def __init__(self, in_dim, out_dim, rng, name="dense", dtype=np.float32):
         self.w = Param(f"{name}.W", xavier_uniform(rng, (in_dim, out_dim), dtype))
         self.b = Param(f"{name}.b", np.zeros(out_dim, dtype=dtype), decay=False)
+        self.name = name
         self._x = None
 
     def forward(self, x, train=False):
@@ -86,11 +108,11 @@ class Dense:
             raise ShapeError(
                 f"{self.w.name}: expected {self.w.shape[0]} inputs, got {x.shape[-1]}"
             )
-        self._x = x
+        self._x = x if train else None
         return x @ self.w.data + self.b.data
 
     def backward(self, dout):
-        self.w.grad += self._x.T @ dout
+        self.w.grad += take_cache(self, "_x").T @ dout
         self.b.grad += dout.sum(axis=0)
         return dout @ self.w.data.T
 
@@ -126,6 +148,7 @@ class Conv2d:
         self.in_ch, self.out_ch = in_ch, out_ch
         self.pad_h = ((kh - 1) // 2, kh - 1 - (kh - 1) // 2)
         self.pad_w = ((kw - 1) // 2, kw - 1 - (kw - 1) // 2)
+        self.name = name
         self._cols = None
         self._shape = None
 
@@ -148,14 +171,15 @@ class Conv2d:
         xp = np.pad(x, ((0, 0), self.pad_h, self.pad_w, (0, 0)))
         cols = self._im2col(xp, h, w)
         out = cols @ self._wmat().T + self.b.data
-        # only backward reads the columns, so inference keeps none
         self._cols, self._shape = (cols if train else None), (b, h, w)
         return out.reshape(b, h, w, self.out_ch)
 
     def backward(self, dout):
+        cols = take_cache(self, "_cols")
         b, h, w = self._shape
         dmat = dout.reshape(b * h * w, self.out_ch)
-        dw = (dmat.T @ self._cols).reshape(self.out_ch, self.kh, self.kw, self.in_ch)
+        dw = (dmat.T @ cols).reshape(self.out_ch, self.kh, self.kw, self.in_ch)
+        del cols  # its last reader: free it before dcols, as large, is made
         self.w.grad += dw.transpose(0, 3, 1, 2)
         self.b.grad += dmat.sum(axis=0)
 
@@ -183,9 +207,9 @@ class BatchNorm2d:
     (the mean, then the variance of the centered input), so float32 stays
     accurate when |mean| is many times the std, and updates running
     statistics with momentum 0.9; inference uses the running statistics.
-    The cache holds the input itself, not a normalized copy: the backward
-    pass re-centers it, takes two per-channel reductions and turns the
-    centered copy in place into dx, a per-channel affine combination of it
+    Only train mode has a backward pass. Its cache holds the input itself,
+    not a normalized copy: the backward pass re-centers it, takes two
+    per-channel reductions and turns the centered copy in place into dx, a per-channel affine combination of it
     and the output gradient. Running stats are buffers, not trainable
     parameters.
     """
@@ -231,11 +255,11 @@ class BatchNorm2d:
             scale = self.gamma.data * inv_std
             out = np.multiply(x, scale)
             out += self.beta.data - mean * scale
-        self._cache = (x, mean, inv_std, train)
+        self._cache = (x, mean, inv_std) if train else None
         return out
 
     def backward(self, dout):
-        x, mean, inv_std, train = self._cache
+        x, mean, inv_std = take_cache(self)
         c = x.shape[-1]
         n = x.size // c
         dx = np.subtract(x, mean)  # centered input, reused as the output buffer
@@ -245,9 +269,6 @@ class BatchNorm2d:
         self.gamma.grad += sum_dx * inv_std
         self.beta.grad += sum_d
         k = self.gamma.data * inv_std
-        if not train:
-            np.multiply(dout, k, out=dx)
-            return dx
         # dx = k * (dout - mean(dout) - xhat * mean(dout * xhat))
         dx *= -(inv_std * inv_std * sum_dx / n)
         dx += dout
@@ -273,15 +294,17 @@ class BatchNorm2d:
 
 
 class ReLU:
-    def __init__(self):
+    def __init__(self, name="relu"):
+        self.name = name
         self._out = None
 
     def forward(self, x, train=False):
-        self._out = np.maximum(x, 0.0)
-        return self._out
+        out = np.maximum(x, 0.0)
+        self._out = out if train else None
+        return out
 
     def backward(self, dout):
-        return dout * (self._out > 0)
+        return dout * (take_cache(self, "_out") > 0)
 
     def params(self):
         return []
@@ -349,7 +372,12 @@ class FeatureAveragePool:
 
 
 class Dropout:
-    """Inverted dropout: active only in train mode, scaled by 1/(1-p)."""
+    """Inverted dropout: active only in train mode, scaled by 1/(1-p).
+
+    A training pass keeps a boolean keep-mask and the scale
+    ``dtype(1) / dtype(1 - p)``; an output is the input times the mask,
+    times the scale. Otherwise the layer, and its backward, is the identity.
+    """
 
     def __init__(self, p, rng):
         if not 0.0 <= p < 1.0:
@@ -357,6 +385,7 @@ class Dropout:
         self.p = p
         self.rng = rng
         self._mask = None
+        self._scale = None
 
     def forward(self, x, train=False):
         if not train or self.p == 0.0:
@@ -365,14 +394,19 @@ class Dropout:
         keep = 1.0 - self.p
         rdtype = np.float32 if x.dtype == np.float32 else np.float64
         draws = self.rng.random(x.shape, dtype=rdtype)
-        self._mask = (draws < keep).astype(x.dtype)
-        self._mask /= keep
-        return x * self._mask
+        self._mask = draws < keep
+        self._scale = x.dtype.type(1) / x.dtype.type(keep)
+        out = x * self._mask
+        out *= self._scale
+        return out
 
     def backward(self, dout):
-        if self._mask is None:
+        mask, self._mask = self._mask, None
+        if mask is None:
             return dout
-        return dout * self._mask
+        dx = dout * mask
+        dx *= self._scale
+        return dx
 
     def params(self):
         return []

@@ -17,7 +17,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..errors import ShapeError
-from .layers import Param, orthogonal, xavier_uniform
+from .layers import Param, orthogonal, take_cache, xavier_uniform
 
 
 def sigmoid(x, out=None):
@@ -41,9 +41,9 @@ class _GRUDirection:
     takes one GEMM for the z and r gates together and one for the
     candidate, against contiguous copies of the two recurrent weight blocks
     made once per call. Step caches are (T, B, .) arrays allocated up
-    front; the backward pass fills a (T, B, 3H) gate-gradient array and
-    computes the weight, bias and input gradients from it with one GEMM
-    (or sum) each after the recurrence.
+    front and kept only by a training pass; the backward pass fills a
+    (T, B, 3H) gate-gradient array and computes the weight, bias and input
+    gradients from it with one GEMM (or sum) each after the recurrence.
     """
 
     def __init__(self, in_dim, hidden, rng, name, dtype):
@@ -53,6 +53,7 @@ class _GRUDirection:
         self.wh = Param(f"{name}.Wh", wh)
         self.b = Param(f"{name}.b", np.zeros(3 * h, dtype=dtype), decay=False)
         self.hidden = h
+        self.name = name
         self._cache = None
 
     def _blocks(self):
@@ -60,7 +61,7 @@ class _GRUDirection:
         wh = self.wh.data
         return np.ascontiguousarray(wh[:, : 2 * h]), np.ascontiguousarray(wh[:, 2 * h :])
 
-    def forward(self, x):
+    def forward(self, x, train=False):
         """(B, T, D) -> (B, T, H)."""
         b, t, d = x.shape
         h = self.hidden
@@ -88,12 +89,12 @@ class _GRUDirection:
             np.subtract(c, state, out=new_state)
             new_state *= z
             new_state += state
-        self._cache = (xt, states, zr, rh, cand)
+        self._cache = (xt, states, zr, rh, cand) if train else None
         return states[1:].transpose(1, 0, 2)
 
     def backward(self, dout):
         """(B, T, H) output gradient -> (B, T, D) input gradient."""
-        xt, states, zr, rh, cand = self._cache
+        xt, states, zr, rh, cand = take_cache(self)
         t, b, h = cand.shape
         w_zr, w_c = self._blocks()
         dout_t = dout.transpose(1, 0, 2)
@@ -143,8 +144,8 @@ class BiGRU:
         if x.ndim != 3 or x.shape[2] != self.in_dim:
             raise ShapeError(f"bigru: expected (B,T,{self.in_dim}), got {x.shape}")
         self._t = x.shape[1]
-        out_f = self.fwd.forward(x)
-        out_b = self.bwd.forward(x[:, ::-1])
+        out_f = self.fwd.forward(x, train)
+        out_b = self.bwd.forward(x[:, ::-1], train)
         return np.concatenate([out_f, out_b[:, ::-1]], axis=1)
 
     def backward(self, dout):

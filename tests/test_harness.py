@@ -2,6 +2,8 @@
 
 import ctypes
 import logging
+import multiprocessing
+import time
 
 import numpy as np
 import pytest
@@ -362,6 +364,28 @@ class TestRunCV:
                     for key in snap_one:
                         np.testing.assert_array_equal(snap_one[key], snap_two[key])
 
+    @pytest.mark.parametrize("aborting", ["cnn_moe", "crnn"])
+    def test_pooled_nan_abort_stops_running_members(self, synth_manifest, synth_features,
+                                                    monkeypatch, aborting):
+        def stub(model, *args, **kwargs):
+            if model.name == aborting:
+                raise NumericalError("non-finite values in predictions")
+            time.sleep(30)
+            return [(1, 1.0, 0.5)], [0.5]
+
+        monkeypatch.setattr(harness, "train_loop", stub)
+        cfg = desk_config(model="ensemble", k=2, jobs=2)
+        folds = ingest.make_folds(synth_manifest, 2, 7, cfg.task)
+        start = time.perf_counter()
+        with pytest.raises(NumericalError) as excinfo:
+            harness.run_cv(cfg, synth_features, folds)
+        assert time.perf_counter() - start < 5
+        assert not multiprocessing.active_children()  # the sleeping member was stopped
+        exc = excinfo.value
+        assert (exc.model_name, exc.fold_id) == (aborting, 0)
+        assert isinstance(exc.stats, dsp.NormStats)
+        assert any(k.endswith(".W") for k in exc.last_good)
+
     def test_workers_run_one_blas_thread(self, synth_folds):
         if getattr(harness._openblas(), "scipy_openblas_get_num_threads64_", None) is None:
             pytest.skip("numpy's OpenBLAS has no thread-count symbol")
@@ -386,9 +410,9 @@ class TestRunCV:
         cnn_moe = harness.worker_mb(desk_config(model="cnn_moe", **paper), {})
         crnn = harness.worker_mb(desk_config(model="crnn", **paper), {})
         desk = harness.worker_mb(desk_config(model="ensemble"), {})
-        assert 1930 <= cnn_moe <= 1.1 * 1930
-        assert 2410 <= crnn <= 1.1 * 2410
-        assert 360 <= desk <= 1.1 * 360
+        assert 1315 <= cnn_moe <= 1.1 * 1315
+        assert 1493 <= crnn <= 1.1 * 1493
+        assert 299 <= desk <= 1.1 * 299
 
     def test_duplicated_fold_mean_equals_each(self, synth_features, synth_folds):
         m = harness._mean_metrics([

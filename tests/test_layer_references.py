@@ -104,7 +104,7 @@ class TestBiGRUReference:
         x = rng.standard_normal((b, t, 4))
         dout = rng.standard_normal((b, 2 * t, 3))
 
-        out = gru.forward(x)
+        out = gru.forward(x, train=True)
         dx = gru.backward(dout)
         ref_out, ref_dx, ref_grads = _bigru_reference(gru, x, dout)
 

@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from respdl import models
+from respdl.augment import MixupConfig
 from respdl.errors import ParameterError, ShapeError
-from respdl.harness import train_loop
+from respdl.harness import evaluate_entities, train_loop
 from respdl.nn import TrainConfig, softmax
 
 F64 = np.float64
@@ -119,6 +120,57 @@ class TestModelOutputs:
                 assert p.shape == (x.shape[0], 4)
                 np.testing.assert_allclose(p.sum(axis=1), 1.0, atol=1e-5)
                 assert np.all(p >= 0)
+
+
+def _all_layers(model):
+    """Every layer of a model, with the layers inside a layer (the GRU
+    directions, the MoE gate)."""
+    for layer in model._layers():
+        yield layer
+        yield from (v for v in vars(layer).values() if hasattr(v, "backward"))
+
+
+def _holding_activations(model):
+    """Names of the layers that hold an activation for a backward pass."""
+    return {getattr(layer, "name", type(layer).__name__)
+            for layer in _all_layers(model)
+            for attr in ("_cache", "_cols", "_out", "_x", "_mask")
+            if getattr(layer, attr, None) is not None}
+
+
+# each tiny model, with its head layers that cache, the last one first
+TINY_MODELS = pytest.mark.parametrize("build, head", [
+    (lambda: models.CNNMoE(4, patch_width=32, seed=3), ("moe", "moe.gate")),
+    (lambda: models.CRNN(4, patch_width=32, gru_hidden=16, seed=3),
+     ("fc3", "relu2", "fc2", "relu1", "fc1", "bigru.bwd", "bigru.fwd")),
+], ids=["cnn_moe", "crnn"])
+
+
+class TestActivationLifetime:
+    @TINY_MODELS
+    def test_no_activation_outlives_its_backward(self, build, head, rng):
+        model = build()
+        x = rng.standard_normal((6, 64, 32)).astype(np.float32)
+        y = np.eye(4, dtype=np.float32)[[0, 1, 2, 3, 0, 1]]
+        model.forward(x, train=True)  # the walk below sees every cache
+        assert {"block1.conv", "block1.bn_in", "block1.relu", "Dropout", *head} <= \
+            _holding_activations(model)
+
+        model = build()
+        cfg = TrainConfig(epochs=1, batch_size=6, lr=1e-3, seed=1)
+        train_loop(model, x, y, cfg, mixup_cfg=MixupConfig(alpha=0.2))
+        assert _holding_activations(model) == set()
+        evaluate_entities(model, {"a": x[:2], "b": x[2:]})
+        assert _holding_activations(model) == set()
+
+    @TINY_MODELS
+    def test_backward_after_inference_names_the_layer(self, build, head, rng):
+        model = build()
+        x = rng.standard_normal((2, 64, 32)).astype(np.float32)
+        model.forward(x, train=True)
+        probs = model.forward(x, train=False)  # drops the training caches
+        with pytest.raises(ParameterError, match=f"^{head[0]}: backward needs a forward"):
+            model.backward(probs)
 
 
 class TestAggregateAndFuse:

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from respdl import models
-from respdl.errors import FormatError, NumericalError, ShapeError
+from respdl.errors import FormatError, NumericalError, ParameterError, ShapeError
 from respdl.nn import (
     Adam,
     BatchNorm2d,
@@ -15,6 +15,7 @@ from respdl.nn import (
     Dense,
     Dropout,
     Param,
+    ReLU,
     TrainConfig,
     add_l2_grads,
     assign_params,
@@ -70,6 +71,28 @@ class TestLayerGradients:
         layer.b.data[:] = np.array([1.5, -2.0, 0.25])
         out = layer.forward(rng.standard_normal((2, 5, 5, 2)))
         np.testing.assert_allclose(out, np.broadcast_to(layer.b.data, out.shape))
+
+    @pytest.mark.parametrize("make, shape", [
+        (lambda rng: Dense(6, 5, rng, name="fc"), (4, 6)),
+        (lambda rng: Conv2d(2, 3, 3, 3, rng, name="cv"), (2, 5, 5, 2)),
+        (lambda rng: BatchNorm2d(2, name="bn"), (2, 5, 5, 2)),
+        (lambda rng: ReLU(name="act"), (4, 6)),
+        (lambda rng: BiGRU(4, 3, rng, name="gru"), (2, 5, 4)),
+        (lambda rng: models.MoELayer(6, 3, 2, rng, name="moe"), (4, 6)),
+    ], ids=["dense", "conv", "bn", "relu", "bigru", "moe"])
+    def test_backward_needs_its_own_training_forward(self, rng, make, shape):
+        layer = make(rng)
+        x = rng.standard_normal(shape).astype(np.float32)
+        dout = np.ones_like(layer.forward(x, train=True))
+        layer.backward(dout)
+        for before_backward in (
+            lambda: layer.forward(x, train=False),  # inference only
+            lambda: (layer.forward(x, train=True), layer.forward(x, train=False)),
+            lambda: (layer.forward(x, train=True), layer.backward(dout)),  # used up
+        ):
+            before_backward()
+            with pytest.raises(ParameterError, match=r"^(fc|cv|bn|act|gru\.fwd|moe): backward"):
+                layer.backward(dout)
 
     def test_conv_inference_keeps_no_im2col(self, rng):
         layer = Conv2d(2, 3, 3, 3, rng)
@@ -203,6 +226,24 @@ class TestDropout:
         x = rng.standard_normal((5, 6))
         assert layer.forward(x, train=False) is x
         np.testing.assert_array_equal(layer.backward(x), x)
+
+    @pytest.mark.parametrize("dtype", [np.float32, F64])
+    def test_matches_float_mask_formula_bit_for_bit(self, rng, dtype):
+        p = 0.25
+        x = rng.standard_normal((6, 4, 8, 3)).astype(dtype)
+        x[0, 0] = 0.0
+        dout = rng.standard_normal(x.shape).astype(dtype)
+        layer = Dropout(p, np.random.default_rng(8))
+        out = layer.forward(x, train=True)
+        dx = layer.backward(dout)
+        # the float32 (or float64) mask of 0 and 1/keep it replaces
+        keep = 1.0 - p
+        draws = np.random.default_rng(8).random(x.shape, dtype=dtype)
+        mask = (draws < keep).astype(dtype)
+        mask /= keep
+        assert out.dtype == dx.dtype == dtype
+        assert out.tobytes() == (x * mask).tobytes()
+        assert dx.tobytes() == (dout * mask).tobytes()
 
     def test_inverted_scaling_preserves_mean(self, rng):
         layer = Dropout(0.3, rng)
@@ -376,8 +417,8 @@ class TestTrainingInvariants:
                 self.fc2 = Dense(32, 4, r, name="fc2", dtype=F64)
 
             def forward(self, x, train=False):
-                self._h = np.maximum(self.fc1.forward(x), 0.0)
-                self._logits = self.fc2.forward(self._h)
+                self._h = np.maximum(self.fc1.forward(x, train), 0.0)
+                self._logits = self.fc2.forward(self._h, train)
                 return softmax(self._logits)
 
             def backward(self, dlogits):
@@ -393,7 +434,7 @@ class TestTrainingInvariants:
         adam = Adam(net.params(), lr=1e-2)
         losses = []
         for _ in range(200):
-            probs = net.forward(x)
+            probs = net.forward(x, train=True)
             loss, dlogits = loss_ce_l2(probs, y)
             losses.append(loss)
             adam.zero_grad()
