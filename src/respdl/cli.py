@@ -21,8 +21,6 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
-import numpy as np
-
 from . import dsp, harness, ingest, models, synth
 from .errors import NumericalError, ParameterError, ParseError, RespdlError
 from .harness import CONFIG_KEYS, IDENTITY_KEYS
@@ -199,12 +197,11 @@ def _run_dir(cfg: harness.ExperimentConfig) -> Path:
 
 
 def _save_fold_outputs(run_dir: Path, cfg, result: harness.FoldResult):
-    for name, history in result.histories.items():
-        path = run_dir / f"history_{name}_fold{result.fold_id}.csv"
-        path.write_text(harness.history_csv(history))
-    for name, snap in result.checkpoints.items():
-        ckpt = run_dir / f"ckpt_{name}_fold{result.fold_id}.rsdl"
-        harness.save_fold_checkpoint(ckpt, cfg, name, result.fold_id, result.stats, snap)
+    for member in result.members:
+        stem = f"{member.name}_fold{result.fold_id}"
+        (run_dir / f"history_{stem}.csv").write_text(harness.history_csv(member.history))
+        harness.save_fold_checkpoint(run_dir / f"ckpt_{stem}.rsdl", cfg, member.name,
+                                     result.fold_id, member.stats, member.state)
 
 
 def _print_metrics(prefix: str, m: harness.Metrics):
@@ -288,14 +285,10 @@ def cmd_eval(args) -> int:
         raise UsageError(f"--fold {args.fold} differs from the checkpoint's {ckpt.fold_id}")
 
     _, features, folds = _prepare(cfg)
-    heldout = sorted(e for e in features if folds.assignment[e] == ckpt.fold_id)
-    groups = {eid: harness.normalized_patches(features[eid].spec, ckpt.stats, cfg.patch_width)
-              for eid in heldout}
+    _, heldout_ids = harness.fold_split(features, folds, ckpt.fold_id)
+    groups, truths = harness.heldout_set(features, heldout_ids, ckpt.stats, cfg.patch_width)
     probs = harness.evaluate_entities(ckpt.model, groups)
-    preds = {eid: int(np.argmax(p)) for eid, p in probs.items()}
-    truths = {eid: features[eid].label for eid in heldout}
-    metrics = harness.compute_metrics(preds, truths, cfg.task)
-    _print_metrics(f"fold {ckpt.fold_id}:", metrics)
+    _print_metrics(f"fold {ckpt.fold_id}:", harness.score(probs, truths, cfg.task))
     return 0
 
 
@@ -333,10 +326,8 @@ def cmd_predict(args) -> int:
     ckpt = harness.load_fold_checkpoint(args.checkpoint)
     cfg = ckpt.config
     wav = Path(args.wav)
-    # the checkpoint's minimum cycle length; whole recordings get one window
-    by_cycle = ingest.task_entity_level(cfg.task) == "cycle"
     spec = harness.entity_spectrogram(harness.load_recording(wav).samples,
-                                      cfg.min_cycle_seconds if by_cycle else 0.0,
+                                      harness.min_entity_seconds(cfg.task, cfg.min_cycle_seconds),
                                       dsp.build_gammatone_bank(), wav.name)
     patches = harness.normalized_patches(spec, ckpt.stats, cfg.patch_width)
     probs = models.aggregate_patches(ckpt.model.forward(patches, train=False))

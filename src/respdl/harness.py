@@ -4,7 +4,11 @@ checkpoints, and the cycle-length / time-resolution sweeps.
 
 Cross-validation trains each (fold, member) pair as an independent job, in
 a pool of worker processes that each run BLAS on one thread, and scores
-and fuses the folds in the calling process.
+and fuses the folds in the calling process. A trained member is one
+``MemberResult``: its history, its model state (``Sequential.state()``,
+which is also what its checkpoint holds), its held-out probabilities and
+the fold's norm statistics; a ``FoldResult`` is the fold's score and its
+members.
 
 Evaluation is always at entity level (cycles for Task 1, recordings for
 Task 2): patch probabilities are averaged per entity, the argmax is the
@@ -32,7 +36,6 @@ from .nn import (
     Adam,
     TrainConfig,
     add_l2_grads,
-    assign_params,
     load_checkpoint,
     loss_ce_l2,
     save_checkpoint,
@@ -184,22 +187,23 @@ class FoldCheckpoint:
 
 
 def save_fold_checkpoint(path, config: ExperimentConfig, model_name: str, fold_id: int,
-                         stats: dsp.NormStats, arrays: dict) -> None:
-    """Write one member's parameters and buffers under a header holding the
-    run's ``config_text``, the member, the fold and the norm statistics
-    (``repr`` floats, so they round-trip exactly)."""
+                         stats: dsp.NormStats, state: dict) -> None:
+    """Write one member's model ``state`` under a header holding the run's
+    ``config_text``, the member, the fold and the norm statistics (``repr``
+    floats, so they round-trip exactly)."""
     header = config_text(config) + (
         f"member={model_name}\nfold={fold_id}\n"
         f"norm_mean={stats.mean!r}\nnorm_std={stats.std!r}\n"
     )
-    save_checkpoint(path, header, arrays)
+    save_checkpoint(path, header, state)
 
 
 def load_fold_checkpoint(path) -> FoldCheckpoint:
     """Read a checkpoint written by ``save_fold_checkpoint`` and rebuild its
-    model. A header field that is missing, unknown or unparsable is a
-    FormatError. Execution keys, which headers written before they left the
-    run identity still hold, are ignored."""
+    model. A header field that is missing, unknown or unparsable, or a
+    parameter or buffer that is missing or mis-shaped, is a FormatError.
+    Execution keys, which headers written before they left the run identity
+    still hold, are ignored."""
     header, arrays = load_checkpoint(path)
     values = dict(line.partition("=")[::2] for line in header.splitlines())
     missing = [key for key in IDENTITY_KEYS + _MEMBER_KEYS if key not in values]
@@ -213,10 +217,9 @@ def load_fold_checkpoint(path) -> FoldCheckpoint:
         stats = dsp.NormStats(mean=float(member["norm_mean"]), std=float(member["norm_std"]))
         fold_id = int(member["fold"])
         model = build_member(config, member["member"])
-        model.set_buffers(arrays)
-    except (KeyError, ValueError, ParameterError) as exc:
+        model.load_state(arrays)
+    except (ValueError, ParameterError, FormatError) as exc:
         raise FormatError(f"{path}: bad checkpoint header or entries: {exc}") from None
-    assign_params(model.params(), arrays)
     return FoldCheckpoint(config, fold_id, stats, model)
 
 
@@ -260,6 +263,12 @@ def compute_metrics(predictions: dict, truths: dict, task: str) -> Metrics:
         confusion=conf.tolist(),
         n_entities=int(conf.sum()),
     )
+
+
+def score(probs: dict, truths: dict, task: str) -> Metrics:
+    """Challenge metrics of entity probabilities; each entity is predicted
+    as its most probable class."""
+    return compute_metrics({eid: int(np.argmax(p)) for eid, p in probs.items()}, truths, task)
 
 
 # ---------------------------------------------------------------------------
@@ -307,6 +316,13 @@ def normalized_patches(
     return dsp.patchify((spec - stats.mean) / stats.std, width).astype(dtype)
 
 
+def min_entity_seconds(task: str, min_cycle_seconds: float) -> float:
+    """The length an entity of ``task`` is repeated up to before its
+    spectrogram: the minimum cycle length for Task 1 cycles, none for Task 2
+    recordings, which ``entity_spectrogram`` repeats up to one window only."""
+    return min_cycle_seconds if ingest.task_entity_level(task) == "cycle" else 0.0
+
+
 def build_features(
     manifest: ingest.DatasetManifest,
     task: str,
@@ -322,7 +338,7 @@ def build_features(
     """
     bank = bank or dsp.build_gammatone_bank()
     by_cycle = ingest.task_entity_level(task) == "cycle"
-    min_seconds = min_cycle_seconds if by_cycle else 0.0
+    min_seconds = min_entity_seconds(task, min_cycle_seconds)
     labels_by_entity = {eid: (cls, pid) for eid, cls, pid in manifest.entities(task)}
 
     out: dict[str, EntityFeatures] = {}
@@ -331,7 +347,7 @@ def build_features(
         recording = load_recording(path)
         if by_cycle:
             cycles = ingest.extract_cycles(recording, rec.labels)
-            entities = [(c.cycle_id, c.samples, c.cycle_id) for c in cycles]
+            entities = [(cycle_id, samples, cycle_id) for cycle_id, samples in cycles]
         else:
             entities = [(rec.recording_id, recording.samples, path.name)]
         for eid, samples, source in entities:
@@ -411,19 +427,6 @@ def train_loop(
     return history, train_accs
 
 
-def _snapshot(model):
-    """Copy of all parameters plus batch-norm running statistics."""
-    snap = {p.name: p.data.copy() for p in model.params()}
-    snap.update(model.get_buffers())
-    return snap
-
-
-def _restore(model, snap):
-    for p in model.params():
-        p.data[...] = snap[p.name]
-    model.set_buffers(snap)
-
-
 def evaluate_entities(model, groups: dict, batch_size: int = 64) -> dict:
     """Entity-level probabilities: run all patches through the model in
     inference mode, then average per entity. The chunk size bounds the
@@ -450,28 +453,24 @@ def evaluate_entities(model, groups: dict, batch_size: int = 64) -> dict:
 
 
 @dataclass
-class FoldResult:
-    fold_id: int
-    metrics: Metrics
-    histories: dict  # model name -> list of (epoch, train_loss, heldout_score)
-    train_ids: list
-    heldout_ids: list
-    stats: dsp.NormStats
-    component_metrics: dict  # model name -> Metrics (ensemble runs)
-    checkpoints: dict  # model name -> {param name: array}
-    train_accs: dict  # model name -> list of per-epoch train accuracy
-
-
-@dataclass
 class MemberResult:
     """One member model trained on one fold."""
 
     name: str
     history: list  # (epoch, train_loss, heldout_score) per epoch
-    train_accs: list
-    checkpoint: dict  # {param or buffer name: array}
+    state: dict  # the selected epoch's Sequential.state()
     heldout_probs: dict  # entity id -> class probabilities
-    stats: dsp.NormStats
+    stats: dsp.NormStats  # the fold's training normalization
+
+
+@dataclass
+class FoldResult:
+    """One fold's score (the fused members' for an ensemble) and its
+    members, in ``_model_names`` order."""
+
+    fold_id: int
+    metrics: Metrics
+    members: list[MemberResult]
 
 
 @dataclass
@@ -493,7 +492,8 @@ def _fold_seed(config: ExperimentConfig, fold_id: int, model_index: int) -> list
     return [config.train.seed, fold_id, model_index]
 
 
-def _split(features: dict, folds: ingest.FoldAssignment, fold_id: int):
+def fold_split(features: dict, folds: ingest.FoldAssignment, fold_id: int):
+    """Sorted (train ids, held-out ids) of the entities in ``features``."""
     heldout_ids = sorted(e for e in features if folds.assignment[e] == fold_id)
     train_ids = sorted(e for e in features if folds.assignment[e] != fold_id)
     if not heldout_ids or not train_ids:
@@ -509,51 +509,51 @@ def fold_inputs(
 ) -> FoldInputs:
     """Normalize with statistics fit on the training folds only, then cut
     the training set and the held-out entities into patches."""
-    train_ids, heldout_ids = _split(features, folds, fold_id)
+    train_ids, heldout_ids = fold_split(features, folds, fold_id)
     stats = dsp.fit_norm_stats([features[e].spec for e in train_ids])
     dtype = np.float32
-
-    def patches(eid):
-        return normalized_patches(features[eid].spec, stats, config.patch_width, dtype)
-
-    train_groups = [patches(eid) for eid in train_ids]
+    train_groups = [normalized_patches(features[eid].spec, stats, config.patch_width, dtype)
+                    for eid in train_ids]
     x = np.concatenate(train_groups)
     labels = [features[eid].label for eid in train_ids]
     y = np.repeat(np.eye(config.n_classes, dtype=dtype)[labels],
                   [len(g) for g in train_groups], axis=0)
     del train_groups
-    return FoldInputs(stats, x, y, {eid: patches(eid) for eid in heldout_ids},
-                      {eid: features[eid].label for eid in heldout_ids})
+    return FoldInputs(stats, x, y, *heldout_set(features, heldout_ids, stats, config.patch_width))
 
 
-def _argmax(probs: dict) -> dict:
-    return {eid: int(np.argmax(p)) for eid, p in probs.items()}
+def heldout_set(features: dict[str, EntityFeatures], heldout_ids, stats: dsp.NormStats,
+                width: int) -> tuple[dict, dict]:
+    """The held-out entities' normalized patches and true classes, as
+    ``evaluate_entities`` and ``score`` take them."""
+    return ({eid: normalized_patches(features[eid].spec, stats, width) for eid in heldout_ids},
+            {eid: features[eid].label for eid in heldout_ids})
 
 
 def train_member(config: ExperimentConfig, fold_id: int, name: str,
                  inputs: FoldInputs) -> MemberResult:
     """Train one member on a fold and score it on the held-out entities.
 
-    The checkpoint kept is the best held-out-score epoch (or the final one
-    under ``select=final``). A NaN abort retains the last good snapshot on
-    the raised NumericalError, with the member, fold and norm statistics.
+    The state kept is the best held-out-score epoch's (or the final one
+    under ``select=final``). A NaN abort retains the last good state on the
+    raised NumericalError, with the member, fold and norm statistics.
     """
     model_index = _model_names(config).index(name)
     seed_seq = np.random.SeedSequence(_fold_seed(config, fold_id, model_index))
     init_seed, loop_seed = (int(s.generate_state(1)[0]) for s in seed_seq.spawn(2))
     model = build_member(config, name, seed=init_seed, dtype=inputs.x.dtype)
-    best = {"score": -1.0, "snap": _snapshot(model)}
+    best = {"score": -1.0, "state": model.state()}
 
     def score_fn(m, epoch):
         probs = evaluate_entities(m, inputs.heldout_groups)
-        score = compute_metrics(_argmax(probs), inputs.truths, config.task).icbhi_score
-        if score > best["score"]:
-            best["score"] = score
-            best["snap"] = _snapshot(m)
-        return score
+        icbhi = score(probs, inputs.truths, config.task).icbhi_score
+        if icbhi > best["score"]:
+            best["score"] = icbhi
+            best["state"] = m.state()
+        return icbhi
 
     try:
-        history, train_accs = train_loop(
+        history, _ = train_loop(
             model,
             inputs.x,
             inputs.y,
@@ -565,50 +565,30 @@ def train_member(config: ExperimentConfig, fold_id: int, name: str,
             early_stop_patience=config.early_stop_patience,
         )
     except NumericalError as exc:
-        _restore(model, best["snap"])
-        exc.last_good = _snapshot(model)
+        exc.last_good = best["state"]
         exc.model_name = name
         exc.fold_id = fold_id
         exc.stats = inputs.stats
-        log.error("fold %d %s: NaN abort, retaining last good snapshot", fold_id, name)
+        log.error("fold %d %s: NaN abort, retaining last good state", fold_id, name)
         raise
     if config.select == "best":
-        _restore(model, best["snap"])
-    return MemberResult(name, history, train_accs, _snapshot(model),
+        model.load_state(best["state"])
+    return MemberResult(name, history, model.state(),
                         evaluate_entities(model, inputs.heldout_groups), inputs.stats)
 
 
-def fold_result(
-    config: ExperimentConfig,
-    fold_id: int,
-    features: dict[str, EntityFeatures],
-    folds: ingest.FoldAssignment,
-    members: list[MemberResult],
-) -> FoldResult:
-    """Score a fold's trained members at entity level; the ensemble fuses
-    its two members' held-out probabilities."""
-    train_ids, heldout_ids = _split(features, folds, fold_id)
-    truths = {eid: features[eid].label for eid in heldout_ids}
-    component_metrics = {
-        m.name: compute_metrics(_argmax(m.heldout_probs), truths, config.task) for m in members
-    }
+def fold_result(config: ExperimentConfig, fold_id: int, features: dict[str, EntityFeatures],
+                members: list[MemberResult]) -> FoldResult:
+    """Score a fold's trained members on the entities they were held out
+    on; an ensemble is scored on its two members' fused probabilities."""
     if config.model == "ensemble":
         cnn_moe, crnn = (m.heldout_probs for m in members)
-        fused = {eid: models.ensemble_fuse(cnn_moe[eid], crnn[eid]) for eid in heldout_ids}
-        metrics = compute_metrics(_argmax(fused), truths, config.task)
+        probs = {eid: models.ensemble_fuse(cnn_moe[eid], crnn[eid]) for eid in cnn_moe}
     else:
-        metrics = component_metrics[config.model]
-    return FoldResult(
-        fold_id=fold_id,
-        metrics=metrics,
-        histories={m.name: m.history for m in members},
-        train_ids=train_ids,
-        heldout_ids=heldout_ids,
-        stats=members[0].stats,
-        component_metrics=component_metrics,
-        checkpoints={m.name: m.checkpoint for m in members},
-        train_accs={m.name: m.train_accs for m in members},
-    )
+        (member,) = members
+        probs = member.heldout_probs
+    truths = {eid: features[eid].label for eid in probs}
+    return FoldResult(fold_id, score(probs, truths, config.task), members)
 
 
 def run_fold(
@@ -625,7 +605,7 @@ def run_fold(
     """
     inputs = fold_inputs(config, fold_id, features, folds)
     members = [train_member(config, fold_id, name, inputs) for name in _model_names(config)]
-    return fold_result(config, fold_id, features, folds, members)
+    return fold_result(config, fold_id, features, members)
 
 
 @dataclass
@@ -760,7 +740,7 @@ def run_cv(
             for i, member in pool.imap_unordered(_member_job, enumerate(jobs)):
                 members[i] = member
         results = [
-            fold_result(config, f, features, folds, members[i * len(names):(i + 1) * len(names)])
+            fold_result(config, f, features, members[i * len(names):(i + 1) * len(names)])
             for i, f in enumerate(fold_ids)
         ]
     else:

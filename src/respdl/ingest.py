@@ -113,22 +113,6 @@ class CycleLabel:
 
 
 @dataclass
-class RespiratoryCycle:
-    """A labeled waveform slice at 16 kHz."""
-
-    samples: np.ndarray
-    class4: int
-    recording_id: str
-    patient_id: str
-    cycle_id: str
-
-    @property
-    def class2(self) -> int:
-        """0 = Normal, 1 = Anomaly (any of Crackle/Wheeze/Both)."""
-        return 0 if self.class4 == 0 else 1
-
-
-@dataclass
 class ManifestRecord:
     recording_id: str
     patient_id: str
@@ -403,15 +387,15 @@ def save_rejects(manifest: DatasetManifest, path) -> None:
 
 
 def extract_cycles(
-    recording: AudioRecording,
-    labels: list[CycleLabel],
-    skipped: list | None = None,
-) -> list[RespiratoryCycle]:
-    """Slice a 16 kHz recording into labeled cycles.
+    recording: AudioRecording, labels: list[CycleLabel]
+) -> list[tuple[str, np.ndarray]]:
+    """Slice a 16 kHz recording into (cycle id, samples) pairs.
 
-    Cycle i covers samples [round(onset*16000), round(offset*16000)); labels
-    running past the end of the audio are clipped, and labels starting at or
-    beyond the end are skipped (recorded in ``skipped`` when provided).
+    Cycle i, ``<recording_id>_c<NN>`` as in ``DatasetManifest.entities``
+    (which holds its class), covers samples [round(onset*16000),
+    round(offset*16000)); labels running past the end of the audio are
+    clipped, and labels starting at or beyond the end are skipped with a
+    warning.
     """
     if recording.sample_rate != TARGET_RATE:
         raise ParameterError(
@@ -426,19 +410,8 @@ def extract_cycles(
         cycle_id = f"{recording.recording_id}_c{i:02d}"
         if start >= n:
             log.warning("%s: onset %.2fs beyond end of audio, skipped", cycle_id, lab.onset)
-            if skipped is not None:
-                skipped.append((cycle_id, "onset beyond end of audio"))
             continue
-        end = min(end, n)
-        cycles.append(
-            RespiratoryCycle(
-                samples=recording.samples[start:end],
-                class4=lab.class4,
-                recording_id=recording.recording_id,
-                patient_id=recording.patient_id,
-                cycle_id=cycle_id,
-            )
-        )
+        cycles.append((cycle_id, recording.samples[start:min(end, n)]))
     return cycles
 
 

@@ -13,7 +13,9 @@ three dense layers produce the logits.
 Both share ``Sequential``: conv blocks, then a head, then one softmax, so
 their forward passes produce row-stochastic outputs; training drives them
 through the fused softmax+cross-entropy backward, entered via
-``backward(dlogits)``.
+``backward(dlogits)``. A model's whole trained state is one name -> array
+dict, its parameters and batch-norm running statistics: ``state()`` copies
+it out and ``load_state()`` checks and copies it back in.
 
 Canonical shape schedules (patch width 128) are asserted at construction;
 other widths reuse the same pooling schedule and must stay divisible.
@@ -23,7 +25,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import ParameterError, ShapeError
+from .errors import FormatError, ParameterError, ShapeError
 from .nn.layers import (
     AvgPool2d,
     BatchNorm2d,
@@ -183,17 +185,31 @@ class Sequential:
     def params(self):
         return [p for layer in self._layers() for p in layer.params()]
 
-    def get_buffers(self):
-        out = {}
+    def _arrays(self):
+        """Every parameter and batch-norm running statistic by name, as the
+        arrays the model computes with."""
+        arrays = {p.name: p.data for p in self.params()}
         for layer in self._layers():
             if isinstance(layer, BatchNorm2d):
-                out.update(layer.get_buffers())
-        return out
+                arrays.update(layer.buffers())
+        return arrays
 
-    def set_buffers(self, entries):
-        for layer in self._layers():
-            if isinstance(layer, BatchNorm2d):
-                layer.set_buffers(entries)
+    def state(self) -> dict:
+        """A copy of the model's trained state: each parameter and each
+        batch-norm running statistic by name, as checkpoints store it."""
+        return {name: data.copy() for name, data in self._arrays().items()}
+
+    def load_state(self, entries: dict) -> None:
+        """Copy a ``state()`` into the model. An entry that is missing or
+        has another shape than the model's is a FormatError; entries the
+        model does not have are ignored."""
+        for name, data in self._arrays().items():
+            if name not in entries:
+                raise FormatError(f"{self.name}: state lacks {name}")
+            if entries[name].shape != data.shape:
+                raise FormatError(f"{name}: state shape {entries[name].shape} "
+                                  f"!= model shape {data.shape}")
+            data[...] = entries[name]
 
 
 class CNNMoE(Sequential):

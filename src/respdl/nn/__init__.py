@@ -20,7 +20,7 @@ from .loss import add_l2_grads, cross_entropy, l2_penalty, loss_ce_l2
 from .optim import Adam, TrainConfig
 from .rnn import BiGRU
 from .gradcheck import grad_check, grad_check_model, standard_suite
-from .checkpoint import assign_params, load_checkpoint, save_checkpoint
+from .checkpoint import load_checkpoint, save_checkpoint
 
 __all__ = [
     "Adam",
@@ -36,7 +36,6 @@ __all__ = [
     "ReLU",
     "TrainConfig",
     "add_l2_grads",
-    "assign_params",
     "cross_entropy",
     "grad_check",
     "grad_check_model",

@@ -85,15 +85,3 @@ def _parse(body: bytes):
         raise ValueError("trailing bytes")
     return header, entries
 
-
-def assign_params(params, entries: dict) -> None:
-    """Copy checkpoint entries into matching Param objects (by name)."""
-    for p in params:
-        if p.name not in entries:
-            raise FormatError(f"checkpoint missing parameter {p.name}")
-        src = entries[p.name]
-        if tuple(src.shape) != tuple(p.data.shape):
-            raise FormatError(
-                f"{p.name}: checkpoint shape {src.shape} != model shape {p.data.shape}"
-            )
-        p.data[...] = src.astype(p.data.dtype)

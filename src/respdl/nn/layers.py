@@ -211,7 +211,8 @@ class BatchNorm2d:
     not a normalized copy: the backward pass re-centers it, takes two
     per-channel reductions and turns the centered copy in place into dx, a per-channel affine combination of it
     and the output gradient. Running stats are buffers, not trainable
-    parameters.
+    parameters, updated in place; inference warns while they still hold
+    their initial zero mean and unit variance.
     """
 
     def __init__(self, channels, rng=None, name="bn", eps=1e-5, momentum=0.9, dtype=np.float32):
@@ -222,7 +223,6 @@ class BatchNorm2d:
         self.running_var = np.ones(channels, dtype=dtype)
         self.eps = eps
         self.momentum = momentum
-        self._trained = False
         self._cache = None
 
     def forward(self, x, train=False):
@@ -243,11 +243,10 @@ class BatchNorm2d:
             out *= self.gamma.data * inv_std
             out += self.beta.data
             m = self.momentum
-            self.running_mean = (m * self.running_mean + (1 - m) * mean).astype(x.dtype)
-            self.running_var = (m * self.running_var + (1 - m) * var).astype(x.dtype)
-            self._trained = True
+            self.running_mean[...] = m * self.running_mean + (1 - m) * mean
+            self.running_var[...] = m * self.running_var + (1 - m) * var
         else:
-            if not self._trained:
+            if not self.running_mean.any() and (self.running_var == 1).all():
                 log.warning("%s: inference before any training step, using init stats",
                             self.gamma.name)
             mean = self.running_mean
@@ -279,18 +278,13 @@ class BatchNorm2d:
     def params(self):
         return [self.gamma, self.beta]
 
-    def get_buffers(self):
-        """Running statistics, copied; stored in checkpoints next to params."""
+    def buffers(self):
+        """The running statistics by name, as the arrays the layer updates in
+        place; a model's state holds them next to its parameters."""
         return {
-            f"{self.name}.running_mean": self.running_mean.copy(),
-            f"{self.name}.running_var": self.running_var.copy(),
+            f"{self.name}.running_mean": self.running_mean,
+            f"{self.name}.running_var": self.running_var,
         }
-
-    def set_buffers(self, entries: dict):
-        dtype = self.running_mean.dtype
-        self.running_mean = np.asarray(entries[f"{self.name}.running_mean"], dtype=dtype)
-        self.running_var = np.asarray(entries[f"{self.name}.running_var"], dtype=dtype)
-        self._trained = True
 
 
 class ReLU:

@@ -8,6 +8,7 @@ import pytest
 from respdl import dsp, harness, ingest
 from respdl.cli import CONFIG_KEYS, build_parser, main
 from respdl.errors import NumericalError
+from respdl.nn import load_checkpoint, save_checkpoint
 
 from conftest import write_raw_wav
 
@@ -344,6 +345,25 @@ class TestEvalAndPredict:
             assert run_cli("eval", "--checkpoint", str(bad)) == 2
             err = capsys.readouterr().err
             assert err.count("data error:") == 2 and "Traceback" not in err
+
+    @pytest.mark.parametrize("name,shape", [
+        ("block2.bn_in.running_mean", (7,)),  # the model expects (64,)
+        ("moe.gate.W", None),
+        ("moe.gate.W", (3, 4)),
+    ], ids=["misshaped-buffer", "missing-param", "misshaped-param"])
+    def test_predict_on_bad_checkpoint_entry_is_data_error(self, trained_run, cli_dataset,
+                                                           tmp_path, name, shape, capsys):
+        header, arrays = load_checkpoint(trained_run / "ckpt_cnn_moe_fold0.rsdl")
+        if shape is None:
+            del arrays[name]
+        else:
+            arrays[name] = np.zeros(shape, dtype=np.float32)
+        bad = tmp_path / "bad.rsdl"
+        save_checkpoint(bad, header, arrays)
+        wav = sorted(cli_dataset.glob("*.wav"))[0]
+        assert run_cli("predict", "--model", str(bad), "--wav", str(wav)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("data error:") and name in err and "Traceback" not in err
 
     def test_predict_matches_training_front_end(self, trained_run, tmp_path, capsys):
         # one 16 kHz recording whose single cycle spans the whole file; at

@@ -3,6 +3,7 @@
 import ctypes
 import logging
 import multiprocessing
+import re
 import time
 
 import numpy as np
@@ -131,8 +132,7 @@ def _saved_member(path, model_name="crnn"):
     for p in model.params():
         p.data[...] = np.random.default_rng(len(p.name)).standard_normal(p.data.shape)
     stats = dsp.NormStats(mean=0.1 + 0.2, std=1 / 3)
-    arrays = {p.name: p.data for p in model.params()} | model.get_buffers()
-    harness.save_fold_checkpoint(path, cfg, model_name, 2, stats, arrays)
+    harness.save_fold_checkpoint(path, cfg, model_name, 2, stats, model.state())
     return cfg, model, stats
 
 
@@ -148,8 +148,10 @@ class TestFoldCheckpoint:
         for a, b in zip(ckpt.model.params(), model.params(), strict=True):
             assert a.name == b.name
             np.testing.assert_array_equal(a.data, b.data)
-        got = ckpt.model.get_buffers()
-        for key, value in model.get_buffers().items():
+        got, want = ckpt.model.state(), model.state()
+        assert got.keys() == want.keys()
+        assert {"block1.bn_in.running_mean", "block1.bn_in.running_var"} <= got.keys()
+        for key, value in want.items():
             np.testing.assert_array_equal(got[key], value)
 
     @pytest.mark.parametrize("line,replacement", [
@@ -181,13 +183,22 @@ class TestFoldCheckpoint:
         assert ckpt.config == cfg
         assert ckpt.config.jobs == harness.usable_cores()
 
-    def test_missing_buffer_is_format_error(self, tmp_path):
+    @pytest.mark.parametrize("name,shape", [
+        ("block1.bn_in.running_var", None),
+        ("block2.bn_in.running_mean", (7,)),  # C-RNN expects (64,)
+        ("fc3.W", None),
+        ("fc3.W", (3, 4)),
+    ], ids=["missing-buffer", "misshaped-buffer", "missing-param", "misshaped-param"])
+    def test_bad_entry_is_format_error(self, tmp_path, name, shape):
         path = tmp_path / "m.rsdl"
         _saved_member(path)
         header, arrays = load_checkpoint(path)
-        del arrays["block1.bn_in.running_var"]
+        if shape is None:
+            del arrays[name]
+        else:
+            arrays[name] = np.zeros(shape, dtype=np.float32)
         save_checkpoint(path, header, arrays)
-        with pytest.raises(FormatError, match="running_var"):
+        with pytest.raises(FormatError, match=re.escape(name)):
             harness.load_fold_checkpoint(path)
 
 
@@ -271,20 +282,38 @@ class TestFrontEnd:
         np.testing.assert_array_equal(patches[3], ((spec[:, 68:] - 2.0) / 4.0).astype(np.float32))
 
 
+def assert_same_members(a, b):
+    """Same names, histories, states and held-out probabilities, bit for
+    bit; equal probabilities give equal member metrics."""
+    assert [m.name for m in a] == [m.name for m in b]
+    for one, two in zip(a, b, strict=True):
+        assert one.history == two.history
+        assert one.stats == two.stats
+        assert one.state.keys() == two.state.keys()
+        for key in one.state:
+            np.testing.assert_array_equal(one.state[key], two.state[key])
+        assert one.heldout_probs.keys() == two.heldout_probs.keys()
+        for eid in one.heldout_probs:
+            np.testing.assert_array_equal(one.heldout_probs[eid], two.heldout_probs[eid])
+
+
 class TestRunFold:
     def test_history_length_equals_epochs(self, quick_result):
         cfg, result = quick_result
-        assert len(result.histories["cnn_moe"]) == cfg.train.epochs
-        epochs = [row[0] for row in result.histories["cnn_moe"]]
+        member, = result.members
+        assert member.name == "cnn_moe"
+        assert len(member.history) == cfg.train.epochs
+        epochs = [row[0] for row in member.history]
         assert epochs == [1, 2, 3]
 
     def test_no_leakage_id_tracking(self, quick_result, synth_features, synth_folds):
         _, result = quick_result
-        assert set(result.train_ids).isdisjoint(result.heldout_ids)
-        assert result.stats == dsp.fit_norm_stats(
-            [synth_features[e].spec for e in result.train_ids])
+        member, = result.members
         held = {e for e, f in synth_folds.assignment.items() if f == 0}
-        assert set(result.heldout_ids) == held
+        train_ids = sorted(e for e in synth_features if e not in held)
+        assert held and train_ids and set(synth_features) == held | set(train_ids)
+        assert member.stats == dsp.fit_norm_stats([synth_features[e].spec for e in train_ids])
+        assert set(member.heldout_probs) == held
 
     def test_determinism(self, synth_features, synth_folds):
         cfg = desk_config(train=TrainConfig(epochs=2, batch_size=8, lr=1e-3, seed=21),
@@ -292,11 +321,7 @@ class TestRunFold:
         a = harness.run_fold(cfg, 1, synth_features, synth_folds)
         b = harness.run_fold(cfg, 1, synth_features, synth_folds)
         assert a.metrics == b.metrics
-        assert a.histories == b.histories
-        for name in a.checkpoints:
-            for key in a.checkpoints[name]:
-                np.testing.assert_array_equal(a.checkpoints[name][key],
-                                              b.checkpoints[name][key])
+        assert_same_members(a.members, b.members)
 
     def test_nan_abort_keeps_last_good(self, synth_features, synth_folds, monkeypatch):
         cfg = desk_config(train=TrainConfig(epochs=2, batch_size=8, lr=1e-3, seed=3))
@@ -317,8 +342,11 @@ class TestRunFold:
                           train=TrainConfig(epochs=2, batch_size=8, lr=1e-3, seed=5),
                           early_stop_acc=0.0)
         result = harness.run_fold(cfg, 0, synth_features, synth_folds)
-        assert set(result.histories) == {"cnn_moe", "crnn"}
-        assert set(result.component_metrics) == {"cnn_moe", "crnn"}
+        assert [m.name for m in result.members] == ["cnn_moe", "crnn"]
+        held = {e for e, f in synth_folds.assignment.items() if f == 0}
+        for member in result.members:
+            assert len(member.history) == cfg.train.epochs
+            assert set(member.heldout_probs) == held
         assert 0.0 <= result.metrics.icbhi_score <= 1.0
 
 
@@ -355,14 +383,8 @@ class TestRunCV:
             assert harness.report_csv(results[2]) == harness.report_csv(results[1])
             for one, two in zip(results[1].fold_results, results[2].fold_results, strict=True):
                 assert one.fold_id == two.fold_id
-                assert one.histories == two.histories
-                assert one.component_metrics == two.component_metrics
-                assert one.checkpoints.keys() == two.checkpoints.keys()
-                for name, snap_one in one.checkpoints.items():
-                    snap_two = two.checkpoints[name]
-                    assert snap_one.keys() == snap_two.keys()
-                    for key in snap_one:
-                        np.testing.assert_array_equal(snap_one[key], snap_two[key])
+                assert one.metrics == two.metrics
+                assert_same_members(one.members, two.members)
 
     @pytest.mark.parametrize("aborting", ["cnn_moe", "crnn"])
     def test_pooled_nan_abort_stops_running_members(self, synth_manifest, synth_features,

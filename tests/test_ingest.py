@@ -235,42 +235,49 @@ class TestExtractCycles:
 
     def test_simple_slice(self):
         rec = self._recording(10.0)
-        cycles = ingest.extract_cycles(rec, [ingest.CycleLabel(2.0, 4.5, False, False)])
-        assert len(cycles) == 1
-        assert len(cycles[0].samples) == 40000
-        assert cycles[0].samples[0] == 2.0 * 16000
+        (cycle_id, samples), = ingest.extract_cycles(
+            rec, [ingest.CycleLabel(2.0, 4.5, False, False)])
+        assert cycle_id == "r_c00"
+        assert len(samples) == 40000
+        assert samples[0] == 2.0 * 16000
 
     def test_clipped_to_audio_end(self):
         rec = self._recording(10.0)
-        cycles = ingest.extract_cycles(rec, [ingest.CycleLabel(9.5, 12.0, False, False)])
-        assert len(cycles[0].samples) == 8000
+        (_, samples), = ingest.extract_cycles(rec, [ingest.CycleLabel(9.5, 12.0, False, False)])
+        assert len(samples) == 8000
 
-    def test_onset_beyond_end_skipped(self):
+    def test_onset_beyond_end_skipped(self, caplog):
         rec = self._recording(1.0)
-        skipped = []
-        cycles = ingest.extract_cycles(
-            rec, [ingest.CycleLabel(2.0, 3.0, False, False)], skipped=skipped
-        )
-        assert cycles == []
-        assert len(skipped) == 1
+        labels = [ingest.CycleLabel(0.0, 0.5, False, False),
+                  ingest.CycleLabel(2.0, 3.0, False, False)]
+        with caplog.at_level("WARNING", logger="respdl.ingest"):
+            cycles = ingest.extract_cycles(rec, labels)
+        assert [cycle_id for cycle_id, _ in cycles] == ["r_c00"]
+        assert "r_c01: onset 2.00s beyond end of audio, skipped" in caplog.text
 
-    def test_fixture_preserves_classes_in_order(self):
-        rec = self._recording(5.0)
-        labels = ingest.parse_annotation(
-            "0.0 1.0 0 0\n1.0 2.0 1 0\n2.0 3.0 0 1\n3.0 4.0 1 1\n"
-        )
-        cycles = ingest.extract_cycles(rec, labels)
-        assert [c.class4 for c in cycles] == [0, 1, 2, 3]
-        assert [c.class2 for c in cycles] == [0, 1, 1, 1]
+    def test_fixture_preserves_classes_in_order(self, tmp_path):
+        annotation = "0.0 1.0 0 0\n1.0 2.0 1 0\n2.0 3.0 0 1\n3.0 4.0 1 1\n"
+        ingest.write_wav(tmp_path / "101_a.wav", np.zeros(5 * 16000), 16000)
+        (tmp_path / "101_a.txt").write_text(annotation)
+        (tmp_path / "diag.csv").write_text("101,COPD\n")
+        manifest = ingest.build_manifest(tmp_path, tmp_path / "diag.csv", "Task1_4class")
+        cycles = ingest.extract_cycles(ingest.load_wav(tmp_path / "101_a.wav"),
+                                       manifest.records[0].labels)
+        ids = [cycle_id for cycle_id, _ in cycles]
+        assert ids == ["101_a_c00", "101_a_c01", "101_a_c02", "101_a_c03"]
+        for task, classes in (("Task1_4class", [0, 1, 2, 3]), ("Task1_2class", [0, 1, 1, 1])):
+            assert [(eid, cls) for eid, cls, _ in manifest.entities(task)] == \
+                list(zip(ids, classes))
 
     def test_durations_match_labels(self):
         rec = self._recording(8.0)
         labels = [ingest.CycleLabel(0.35, 1.6181, False, False),
                   ingest.CycleLabel(2.0, 3.3333, True, False)]
         cycles = ingest.extract_cycles(rec, labels)
-        for lab, cyc in zip(labels, cycles):
+        assert len(cycles) == len(labels)
+        for lab, (_, samples) in zip(labels, cycles):
             expected = (lab.offset - lab.onset) * 16000
-            assert abs(len(cyc.samples) - expected) <= 1.0
+            assert abs(len(samples) - expected) <= 1.0
 
     def test_requires_16k(self):
         rec = ingest.AudioRecording(np.zeros(100), 8000, "r", "p")

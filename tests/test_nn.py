@@ -18,7 +18,6 @@ from respdl.nn import (
     ReLU,
     TrainConfig,
     add_l2_grads,
-    assign_params,
     grad_check,
     l2_penalty,
     load_checkpoint,
@@ -290,9 +289,12 @@ class TestBatchNorm:
     def test_buffers_roundtrip(self, rng):
         layer = BatchNorm2d(3, name="bn0")
         layer.forward(rng.standard_normal((4, 2, 2, 3)).astype(np.float32), train=True)
-        bufs = layer.get_buffers()
+        bufs = layer.buffers()
+        assert set(bufs) == {"bn0.running_mean", "bn0.running_var"}
+        assert bufs["bn0.running_mean"] is layer.running_mean  # live, not copies
         fresh = BatchNorm2d(3, name="bn0")
-        fresh.set_buffers(bufs)
+        for name, data in fresh.buffers().items():
+            data[...] = bufs[name]
         np.testing.assert_array_equal(fresh.running_mean, layer.running_mean)
         np.testing.assert_array_equal(fresh.running_var, layer.running_var)
 
@@ -337,27 +339,24 @@ class TestShapeErrors:
 
 class TestCheckpoint:
     def test_roundtrip_header_and_arrays(self, tmp_path, rng):
-        params = [
-            Param("layer.W", rng.standard_normal((3, 4)).astype(np.float32)),
-            Param("layer.b", rng.standard_normal(4).astype(np.float32), decay=False),
-        ]
-        arrays = {p.name: p.data for p in params}
-        arrays["bn.running_mean"] = rng.standard_normal(5).astype(np.float32)
+        model = models.build_model("crnn", 4, patch_width=32, gru_hidden=8, seed=1)
+        model.forward(rng.standard_normal((2, 64, 32)).astype(np.float32), train=True)
+        for p in model.params():
+            p.data[...] = rng.standard_normal(p.data.shape)
+        state = model.state()
         header = "task=T\nmember=m\nnorm_mean=0.30000000000000004\n"
         path = tmp_path / "model.rsdl"
-        save_checkpoint(path, header, arrays)
+        save_checkpoint(path, header, state)
 
         got_header, entries = load_checkpoint(path)
         assert got_header == header
-        assert set(entries) == set(arrays)
-        np.testing.assert_array_equal(entries["bn.running_mean"], arrays["bn.running_mean"])
-        fresh = [
-            Param("layer.W", np.zeros((3, 4), dtype=np.float32)),
-            Param("layer.b", np.zeros(4, dtype=np.float32), decay=False),
-        ]
-        assign_params(fresh, entries)
-        np.testing.assert_array_equal(fresh[0].data, params[0].data)
-        np.testing.assert_array_equal(fresh[1].data, params[1].data)
+        assert set(entries) == set(state)
+        np.testing.assert_array_equal(entries["block1.bn_in.running_mean"],
+                                      state["block1.bn_in.running_mean"])
+        fresh = models.build_model("crnn", 4, patch_width=32, gru_hidden=8, seed=2)
+        fresh.load_state(entries)
+        for key, value in fresh.state().items():
+            np.testing.assert_array_equal(value, state[key])
 
     def test_magic_bytes(self, tmp_path):
         path = tmp_path / "m.rsdl"
