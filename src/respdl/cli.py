@@ -3,9 +3,10 @@
 Subcommands wire the pipeline end to end: ``synth`` (fixture generator),
 ``ingest`` (manifest + folds), ``train`` (cross-validated training),
 ``eval`` (score a checkpoint), ``sweep-cycle`` and ``sweep-timeres`` (the
-two analyses), ``predict`` (score one WAV) and ``gradcheck``
-(finite-difference verification). Features are computed from the WAV files
-on every run; nothing is cached on disk.
+cycle-length and time-resolution analyses: one sweep, over the minimum
+cycle length or the patch width), ``predict`` (score one WAV) and
+``gradcheck`` (finite-difference verification). Features are computed from
+the WAV files on every run; nothing is cached on disk.
 
 Configuration precedence: command-line flag beats config-file value beats
 built-in default. Config files are flat ``key=value`` lines with ``#``
@@ -61,6 +62,15 @@ CONFIG_HELP = {
 # directory; eval takes them from the command line when given, since a
 # checkpoint may be scored where its training data lives elsewhere.
 DEPLOYMENT_KEYS = ("audio_dir", "diagnosis_file")
+
+# sweep command -> (config key that harness.sweep sweeps, values option,
+# default values, command help, values help); cmd_sweep serves both
+SWEEPS = {
+    "sweep-cycle": ("min_cycle_seconds", "--lengths", harness.CYCLE_SWEEP_LENGTHS,
+                    "minimum-cycle-length sweep (Task 1)", "comma-separated seconds"),
+    "sweep-timeres": ("patch_width", "--widths", harness.TIMERES_SWEEP_WIDTHS,
+                      "patch-width sweep (Task 2)", "comma-separated frame counts"),
+}
 
 
 class UsageError(Exception):
@@ -148,18 +158,13 @@ def build_parser() -> _Parser:
     p.add_argument("--fold", type=int, default=None,
                    help="must match the checkpoint's fold")
 
-    p = sub.add_parser("sweep-cycle", help="minimum-cycle-length sweep (Task 1)")
-    _add_config_flags(p)
-    p.add_argument("--lengths", default="2,3,4,5,6,7,8",
-                   help="comma-separated seconds")
-    p.add_argument("--full-cv", action="store_true",
-                   help="average all folds instead of fold 0")
-
-    p = sub.add_parser("sweep-timeres", help="patch-width sweep (Task 2)")
-    _add_config_flags(p)
-    p.add_argument("--widths", default="32,64,96,128,160",
-                   help="comma-separated frame counts")
-    p.add_argument("--full-cv", action="store_true")
+    for command, (_, option, defaults, help_text, values_help) in SWEEPS.items():
+        p = sub.add_parser(command, help=help_text)
+        _add_config_flags(p)
+        p.add_argument(option, dest="values", default=",".join(f"{v:g}" for v in defaults),
+                       metavar=option[2:].upper(), help=values_help)
+        p.add_argument("--full-cv", action="store_true",
+                       help="average all folds instead of fold 0")
 
     p = sub.add_parser("predict", help="score one WAV against a checkpoint")
     p.add_argument("--model", required=True, dest="checkpoint", metavar="CKPT")
@@ -174,19 +179,13 @@ def build_parser() -> _Parser:
 # ---------------------------------------------------------------------------
 
 
-def _prepare(cfg: harness.ExperimentConfig):
+def _load_manifest(cfg: harness.ExperimentConfig) -> ingest.DatasetManifest:
     if not cfg.audio_dir:
         raise UsageError("audio_dir is required (flag --audio-dir or config file)")
     manifest = ingest.build_manifest(cfg.audio_dir, cfg.diagnosis_file or None, cfg.task)
     if not manifest.records:
         raise ParameterError(f"no usable recordings under {cfg.audio_dir}")
-    features = harness.build_features(manifest, cfg.task, cfg.min_cycle_seconds)
-    folds = ingest.make_folds(manifest, cfg.k, cfg.fold_seed, cfg.task,
-                              cfg.patient_independent)
-    missing = [e for e in folds.assignment if e not in features]
-    for eid in missing:
-        del folds.assignment[eid]
-    return manifest, features, folds
+    return manifest
 
 
 def _run_dir(cfg: harness.ExperimentConfig) -> Path:
@@ -247,7 +246,11 @@ def cmd_ingest(args) -> int:
 
 def cmd_train(args) -> int:
     cfg = build_config(args)
-    manifest, features, folds = _prepare(cfg)
+    manifest = _load_manifest(cfg)
+    features = harness.build_features(manifest, cfg.task, cfg.min_cycle_seconds)
+    folds = harness.config_folds(cfg, manifest)
+    for eid in [e for e in folds.assignment if e not in features]:
+        del folds.assignment[eid]  # cycles that extraction skipped
     run_dir = _run_dir(cfg)
     ingest.save_manifest(manifest, run_dir / "manifest.txt")
     if manifest.rejects:
@@ -284,40 +287,28 @@ def cmd_eval(args) -> int:
     if args.fold is not None and args.fold != ckpt.fold_id:
         raise UsageError(f"--fold {args.fold} differs from the checkpoint's {ckpt.fold_id}")
 
-    _, features, folds = _prepare(cfg)
-    _, heldout_ids = harness.fold_split(features, folds, ckpt.fold_id)
-    groups, truths = harness.heldout_set(features, heldout_ids, ckpt.stats, cfg.patch_width)
+    manifest = _load_manifest(cfg)
+    folds = harness.config_folds(cfg, manifest)
+    features = harness.build_features(
+        manifest, cfg.task, cfg.min_cycle_seconds,
+        entity_ids=[eid for eid, fold in folds.assignment.items() if fold == ckpt.fold_id])
+    if not features:
+        raise ParameterError(f"fold {ckpt.fold_id}: no held-out entities")
+    groups, truths = harness.heldout_set(features, sorted(features), ckpt.stats,
+                                         cfg.patch_width)
     probs = harness.evaluate_entities(ckpt.model, groups)
     _print_metrics(f"fold {ckpt.fold_id}:", harness.score(probs, truths, cfg.task))
     return 0
 
 
-def cmd_sweep_cycle(args) -> int:
+def cmd_sweep(args) -> int:
     cfg = build_config(args)
-    if not cfg.audio_dir:
-        raise UsageError("audio_dir is required")
-    lengths = tuple(float(v) for v in args.lengths.split(","))
-    manifest = ingest.build_manifest(cfg.audio_dir, cfg.diagnosis_file or None,
-                                     "Task1_4class")
-    report = harness.sweep_cycle_length(cfg, manifest, lengths=lengths,
-                                        full_cv=args.full_cv)
+    manifest = _load_manifest(cfg)
+    # harness.sweep converts each value to its config key's type
+    report = harness.sweep(cfg, manifest, SWEEPS[args.command][0], args.values.split(","),
+                           full_cv=args.full_cv)
     run_dir = _run_dir(cfg)
-    (run_dir / "sweep_cycle.csv").write_text(report.to_csv())
-    print(report.to_csv())
-    return 0
-
-
-def cmd_sweep_timeres(args) -> int:
-    cfg = build_config(args)
-    if not cfg.audio_dir:
-        raise UsageError("audio_dir is required")
-    widths = tuple(int(v) for v in args.widths.split(","))
-    manifest = ingest.build_manifest(cfg.audio_dir, cfg.diagnosis_file or None,
-                                     "Task2_3class")
-    report = harness.sweep_time_resolution(cfg, manifest, widths=widths,
-                                           full_cv=args.full_cv)
-    run_dir = _run_dir(cfg)
-    (run_dir / "sweep_timeres.csv").write_text(report.to_csv())
+    (run_dir / f"{args.command.replace('-', '_')}.csv").write_text(report.to_csv())
     print(report.to_csv())
     return 0
 
@@ -354,8 +345,7 @@ _COMMANDS = {
     "ingest": cmd_ingest,
     "train": cmd_train,
     "eval": cmd_eval,
-    "sweep-cycle": cmd_sweep_cycle,
-    "sweep-timeres": cmd_sweep_timeres,
+    **dict.fromkeys(SWEEPS, cmd_sweep),
     "predict": cmd_predict,
     "gradcheck": cmd_gradcheck,
 }

@@ -1,6 +1,7 @@
 """Experiment orchestration: feature preparation, per-fold training and
 entity-level evaluation, cross-validation, challenge metrics, fold
-checkpoints, and the cycle-length / time-resolution sweeps.
+checkpoints, and the sweep behind the cycle-length and time-resolution
+analyses.
 
 Cross-validation trains each (fold, member) pair as an independent job, in
 a pool of worker processes that each run BLAS on one thread, and scores
@@ -278,11 +279,10 @@ def score(probs: dict, truths: dict, task: str) -> Metrics:
 
 @dataclass
 class EntityFeatures:
-    """Per-entity unnormalized log-spectrogram plus its label and patient."""
+    """Per-entity unnormalized log-spectrogram plus its label."""
 
     spec: np.ndarray
     label: int
-    patient_id: str
 
 
 def load_recording(path) -> ingest.AudioRecording:
@@ -328,21 +328,28 @@ def build_features(
     task: str,
     min_cycle_seconds: float,
     bank: dsp.GammatoneBank | None = None,
+    entity_ids=None,
 ) -> dict[str, EntityFeatures]:
     """Decode, resample, (Task 1) slice + duplicate cycles, and compute
     unnormalized log-spectrograms per entity.
 
     Task 2 entities are whole recordings, duplicated only up to one
     analysis window. Normalization is deliberately left to the fold loop so
-    statistics never see held-out entities.
+    statistics never see held-out entities. Given ``entity_ids``, only those
+    entities are built, and a recording holding none of them is not decoded.
     """
     bank = bank or dsp.build_gammatone_bank()
     by_cycle = ingest.task_entity_level(task) == "cycle"
     min_seconds = min_entity_seconds(task, min_cycle_seconds)
-    labels_by_entity = {eid: (cls, pid) for eid, cls, pid in manifest.entities(task)}
+    labels = {eid: cls for eid, cls, _ in manifest.entities(task)}
+    wanted = labels.keys() if entity_ids is None else set(entity_ids)
 
     out: dict[str, EntityFeatures] = {}
     for rec in manifest.records:
+        ids = ([ingest.cycle_id(rec.recording_id, i) for i in range(len(rec.labels))]
+               if by_cycle else [rec.recording_id])
+        if wanted.isdisjoint(ids):
+            continue
         path = Path(manifest.root) / f"{rec.recording_id}.wav"
         recording = load_recording(path)
         if by_cycle:
@@ -351,8 +358,9 @@ def build_features(
         else:
             entities = [(rec.recording_id, recording.samples, path.name)]
         for eid, samples, source in entities:
-            spec = entity_spectrogram(samples, min_seconds, bank, source)
-            out[eid] = EntityFeatures(spec, *labels_by_entity[eid])
+            if eid in wanted:
+                spec = entity_spectrogram(samples, min_seconds, bank, source)
+                out[eid] = EntityFeatures(spec, labels[eid])
     return out
 
 
@@ -490,6 +498,13 @@ def _model_names(config: ExperimentConfig):
 
 def _fold_seed(config: ExperimentConfig, fold_id: int, model_index: int) -> list[int]:
     return [config.train.seed, fold_id, model_index]
+
+
+def config_folds(config: ExperimentConfig,
+                 manifest: ingest.DatasetManifest) -> ingest.FoldAssignment:
+    """``config``'s fold assignment of the entities of its task."""
+    return ingest.make_folds(manifest, config.k, config.fold_seed, config.task,
+                             config.patient_independent)
 
 
 def fold_split(features: dict, folds: ingest.FoldAssignment, fold_id: int):
@@ -835,13 +850,6 @@ def _flag_best(rows):
         row.best = True
 
 
-def _sweep_point_metrics(config: ExperimentConfig, manifest, features, full_cv: bool) -> Metrics:
-    folds = ingest.make_folds(
-        manifest, config.k, config.fold_seed, config.task, config.patient_independent
-    )
-    return run_cv(config, features, folds, fold_ids=None if full_cv else [0]).mean
-
-
 def _relabel(features: dict[str, EntityFeatures], manifest: ingest.DatasetManifest,
              task: str) -> dict[str, EntityFeatures]:
     """``features`` under ``task``'s class labels, sharing the spectrograms.
@@ -853,58 +861,50 @@ def _relabel(features: dict[str, EntityFeatures], manifest: ingest.DatasetManife
     return {eid: replace(feat, label=labels[eid]) for eid, feat in features.items()}
 
 
-def sweep_cycle_length(
-    config: ExperimentConfig,
-    manifest: ingest.DatasetManifest,
-    lengths=CYCLE_SWEEP_LENGTHS,
-    full_cv: bool = False,
-) -> SweepReport:
-    """Retrain at each minimum cycle length over both Task 1 sub-tasks.
+# swept config key -> (its value type, the two sub-tasks it is swept over)
+SWEEP_KEYS = {
+    "min_cycle_seconds": (float, ("Task1_4class", "Task1_2class")),
+    "patch_width": (int, ("Task2_3class", "Task2_2class")),
+}
 
-    Runs on the first fold by default. Features are rebuilt per length,
-    because duplication changes the waveforms, and shared by both
-    sub-tasks; one length's spectrograms are held at a time. Rows are
-    task-major, each task's in the order of ``lengths``.
+
+def sweep(config: ExperimentConfig, manifest: ingest.DatasetManifest, key: str, values,
+          full_cv: bool = False) -> SweepReport:
+    """Retrain at each of ``values`` of config ``key`` over both sub-tasks
+    in ``SWEEP_KEYS[key]``, on the first fold unless ``full_cv``.
+
+    Features are built again only when a value changes
+    ``min_entity_seconds`` (once per cycle length, once in all for the
+    patch widths); one build is held at a time and both sub-tasks share it.
+    Rows are task-major, each task's in the order of ``values``; a
+    patch-width row also reports its frame count and the seconds the patch
+    spans (width * hop / 16 kHz). Widths outside the standard set (e.g.
+    192) are permitted here for extended sweeps.
     """
-    tasks = ("Task1_4class", "Task1_2class")
-    by_task = {task: [] for task in tasks}
-    for length in lengths:
-        features = build_features(manifest, tasks[0], float(length))
+    kind, tasks = SWEEP_KEYS[key]
+    settings = [replace(config, **{key: kind(value)}) for value in values]  # bad values fail first
+    rows = {task: [] for task in tasks}
+    features, built_for = None, None
+    for setting in settings:
+        min_seconds = min_entity_seconds(tasks[0], setting.min_cycle_seconds)
+        if min_seconds != built_for:
+            features = None  # free the last build's spectrograms before the next
+            features = build_features(manifest, tasks[0], setting.min_cycle_seconds)
+            built_for = min_seconds
         for task in tasks:
-            point = replace(config, task=task, min_cycle_seconds=float(length))
-            m = _sweep_point_metrics(point, manifest, _relabel(features, manifest, task),
-                                     full_cv)
-            by_task[task].append(SweepRow(task, f"{length:g}s", float(length), None,
-                                         m.specificity, m.sensitivity, m.icbhi_score))
-        del features  # free this length's spectrograms before the next build
-    rows = [row for task in tasks for row in by_task[task]]
-    _flag_best(rows)
-    return SweepReport(rows=rows)
+            point = replace(setting, task=task)
+            m = run_cv(point, _relabel(features, manifest, task), config_folds(point, manifest),
+                       fold_ids=None if full_cv else [0]).mean
+            frames = point.patch_width if key == "patch_width" else None
+            seconds = frames * dsp.HOP / ingest.TARGET_RATE if frames else point.min_cycle_seconds
+            rows[task].append(SweepRow(task, run_setting_label(point), seconds, frames,
+                                       m.specificity, m.sensitivity, m.icbhi_score))
+    report = SweepReport([row for task in tasks for row in rows[task]])
+    _flag_best(report.rows)
+    return report
 
 
-def sweep_time_resolution(
-    config: ExperimentConfig,
-    manifest: ingest.DatasetManifest,
-    widths=TIMERES_SWEEP_WIDTHS,
-    full_cv: bool = False,
-) -> SweepReport:
-    """Retrain at each patch width over both Task 2 sub-tasks.
-
-    Features are built once and shared by every width and both sub-tasks.
-    Each row reports the frame count and the actual seconds it spans
-    (width * hop / 16 kHz). Widths outside the standard set (e.g. 192) are
-    permitted here for extended sweeps.
-    """
-    tasks = ("Task2_3class", "Task2_2class")
-    features = build_features(manifest, tasks[0], config.min_cycle_seconds)
-    rows = []
-    for task in tasks:
-        task_features = _relabel(features, manifest, task)
-        for width in widths:
-            point = replace(config, task=task, patch_width=int(width))
-            seconds = width * dsp.HOP / ingest.TARGET_RATE
-            m = _sweep_point_metrics(point, manifest, task_features, full_cv)
-            rows.append(SweepRow(task, f"{width}f", seconds, int(width),
-                                 m.specificity, m.sensitivity, m.icbhi_score))
-    _flag_best(rows)
-    return SweepReport(rows=rows)
+def sweep_cycle_length(config: ExperimentConfig, manifest: ingest.DatasetManifest,
+                       lengths=CYCLE_SWEEP_LENGTHS, full_cv: bool = False) -> SweepReport:
+    """``sweep`` over minimum cycle lengths, both Task 1 sub-tasks."""
+    return sweep(config, manifest, "min_cycle_seconds", lengths, full_cv)

@@ -65,6 +65,11 @@ def task_entity_level(task: str) -> str:
     return "cycle" if task.startswith("Task1") else "recording"
 
 
+def cycle_id(recording_id: str, index: int) -> str:
+    """The entity id of a recording's ``index``-th annotated cycle."""
+    return f"{recording_id}_c{index:02d}"
+
+
 def class4_index(crackle: bool, wheeze: bool) -> int:
     """Map the two annotation flags to the 4-way class index."""
     if crackle and wheeze:
@@ -148,7 +153,7 @@ class DatasetManifest:
     def entities(self, task: str | None = None) -> list[tuple[str, int, str]]:
         """(entity_id, class_index, patient_id) triples for a task.
 
-        Cycle ids are ``<recording_id>_c<NN>`` in annotation order.
+        Cycle ids are ``cycle_id`` of the annotation order.
         """
         task = task or self.task
         level = task_entity_level(task)
@@ -161,7 +166,7 @@ class DatasetManifest:
             else:
                 for i, lab in enumerate(rec.labels):
                     cls = lab.class4 if task == "Task1_4class" else (0 if lab.class4 == 0 else 1)
-                    out.append((f"{rec.recording_id}_c{i:02d}", cls, rec.patient_id))
+                    out.append((cycle_id(rec.recording_id, i), cls, rec.patient_id))
         return out
 
 
@@ -391,7 +396,7 @@ def extract_cycles(
 ) -> list[tuple[str, np.ndarray]]:
     """Slice a 16 kHz recording into (cycle id, samples) pairs.
 
-    Cycle i, ``<recording_id>_c<NN>`` as in ``DatasetManifest.entities``
+    Cycle i, ``cycle_id(recording_id, i)`` as in ``DatasetManifest.entities``
     (which holds its class), covers samples [round(onset*16000),
     round(offset*16000)); labels running past the end of the audio are
     clipped, and labels starting at or beyond the end are skipped with a
@@ -407,11 +412,11 @@ def extract_cycles(
     for i, lab in enumerate(labels):
         start = int(round(lab.onset * TARGET_RATE))
         end = int(round(lab.offset * TARGET_RATE))
-        cycle_id = f"{recording.recording_id}_c{i:02d}"
+        eid = cycle_id(recording.recording_id, i)
         if start >= n:
-            log.warning("%s: onset %.2fs beyond end of audio, skipped", cycle_id, lab.onset)
+            log.warning("%s: onset %.2fs beyond end of audio, skipped", eid, lab.onset)
             continue
-        cycles.append((cycle_id, recording.samples[start:min(end, n)]))
+        cycles.append((eid, recording.samples[start:min(end, n)]))
     return cycles
 
 

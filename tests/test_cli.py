@@ -260,9 +260,9 @@ class TestEvalAndPredict:
         with_flag = capsys.readouterr().out
         build, lengths = harness.build_features, []
 
-        def spy(manifest, task, min_cycle_seconds, bank=None):
+        def spy(manifest, task, min_cycle_seconds, bank=None, entity_ids=None):
             lengths.append(min_cycle_seconds)
-            return build(manifest, task, min_cycle_seconds, bank)
+            return build(manifest, task, min_cycle_seconds, bank, entity_ids)
 
         monkeypatch.setattr(harness, "build_features", spy)
         assert self._eval(trained_run, cli_dataset) == 0
@@ -317,6 +317,34 @@ class TestEvalAndPredict:
         assert run_cli("eval", "--checkpoint", str(run / "ckpt_cnn_moe_fold0.rsdl")) == 0
         assert capsys.readouterr().out == \
             f"fold 0: spec={spec:.4f} sen={sen:.4f} score={score:.4f}\n"
+
+    def test_eval_featurizes_only_the_heldout_fold(self, trained_run, capsys, monkeypatch):
+        row = (trained_run / "report.csv").read_text().splitlines()[1].split(",")
+        spec, sen, score = (float(v) for v in row[3:6])
+        heldout = {eid for eid, fold in (line.split(",") for line in
+                   (trained_run / "folds.csv").read_text().split()) if fold == "0"}
+        counts = {"load_recording": [], "entity_spectrogram": []}
+        for name, calls in counts.items():
+            def counted(*args, _fn=getattr(harness, name), _calls=calls):
+                _calls.append(args[-1])
+                return _fn(*args)
+            monkeypatch.setattr(harness, name, counted)
+        capsys.readouterr()
+        assert run_cli("eval", "--checkpoint", str(trained_run / "ckpt_cnn_moe_fold0.rsdl")) == 0
+        assert capsys.readouterr().out == \
+            f"fold 0: spec={spec:.4f} sen={sen:.4f} score={score:.4f}\n"
+        # one cycle per recording: one decode and one spectrogram per held-out entity
+        assert len(heldout) == 8
+        assert sorted(counts["entity_spectrogram"]) == sorted(heldout)
+        assert len(counts["load_recording"]) == len(heldout)
+
+    def test_eval_of_fold_outside_the_split_is_data_error(self, trained_run, tmp_path, capsys):
+        header, arrays = load_checkpoint(trained_run / "ckpt_cnn_moe_fold0.rsdl")
+        bad = tmp_path / "fold9.rsdl"
+        save_checkpoint(bad, header.replace("\nfold=0\n", "\nfold=9\n"), arrays)
+        assert run_cli("eval", "--checkpoint", str(bad)) == 2
+        err = capsys.readouterr().err
+        assert "fold 9" in err and "Traceback" not in err
 
     def test_eval_uses_checkpoint_fold_split(self, cli_dataset, tmp_path, capsys):
         run = train_run(cli_dataset, tmp_path, "--k", "4", "--fold-seed", "3", "--fold", "2")
@@ -459,6 +487,38 @@ class TestEvalAndPredict:
                      (aborted.parent / "folds.csv").read_text().split())
         train_ids = sorted(eid for eid, fold in folds.items() if fold != "0")
         assert ckpt.stats == dsp.fit_norm_stats([features[e].spec for e in train_ids])
+
+
+class TestSweepCommands:
+    DESK_FLAGS = ("--min-cycle-seconds", "0.5", "--patch-width", "32", "--gru-hidden", "64",
+                  "--mixup", "false", "--epochs", "1", "--batch-size", "8", "--lr", "1e-3")
+
+    @pytest.mark.parametrize("command,values,csv,tasks", [
+        ("sweep-cycle", ("--lengths", "0.5,0.7"), "sweep_cycle.csv",
+         ("Task1_4class", "Task1_2class")),
+        ("sweep-timeres", ("--widths", "32,64"), "sweep_timeres.csv",
+         ("Task2_3class", "Task2_2class")),
+    ], ids=["sweep-cycle", "sweep-timeres"])
+    def test_writes_sweep_csv(self, cli_dataset, tmp_path, command, values, csv, tasks, capsys):
+        assert run_cli(command, "--audio-dir", str(cli_dataset),
+                       "--diagnosis-file", str(cli_dataset / "diagnosis.csv"),
+                       *self.DESK_FLAGS, "--out-dir", str(tmp_path), *values) == 0
+        run, = tmp_path.glob("run_*")
+        lines = (run / csv).read_text().splitlines()
+        assert lines[0] == "task,setting,seconds,frames,specificity,sensitivity,icbhi_score,best"
+        rows = [line.split(",") for line in lines[1:]]
+        assert [row[0] for row in rows] == [tasks[0]] * 2 + [tasks[1]] * 2
+        for task in tasks:
+            assert sum(row[7] == "1" for row in rows if row[0] == task) == 1
+        assert capsys.readouterr().out == "\n".join(lines) + "\n\n"
+
+    @pytest.mark.parametrize("command", ["sweep-cycle", "sweep-timeres"])
+    def test_empty_audio_dir_is_data_error(self, tmp_path, command, capsys):
+        (tmp_path / "audio").mkdir()
+        assert run_cli(command, "--audio-dir", str(tmp_path / "audio"),
+                       "--out-dir", str(tmp_path / "runs")) == 2
+        assert "no usable recordings" in capsys.readouterr().err
+        assert not (tmp_path / "runs").exists()
 
 
 class TestIngestCommand:

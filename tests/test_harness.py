@@ -480,10 +480,14 @@ class TestSweeps:
         cfg = desk_config(task="Task2_3class", k=2,
                           train=TrainConfig(epochs=1, batch_size=8, lr=1e-3, seed=1),
                           early_stop_acc=0.0)
-        report = harness.sweep_time_resolution(cfg, tiny_manifest, widths=(32, 64))
+        report = harness.sweep(cfg, tiny_manifest, "patch_width", (32, 64))
         rows3 = [r for r in report.rows if r.task == "Task2_3class"]
         rows2 = [r for r in report.rows if r.task == "Task2_2class"]
         assert len(rows3) == 2 and len(rows2) == 2
+        assert [(r.task, r.setting) for r in report.rows] == [
+            ("Task2_3class", "32f"), ("Task2_3class", "64f"),
+            ("Task2_2class", "32f"), ("Task2_2class", "64f"),
+        ]
         for r in report.rows:
             assert r.frames in (32, 64)
             assert r.seconds == pytest.approx(r.frames * 256 / 16000)
@@ -496,28 +500,34 @@ class TestSweeps:
             built.append(build(manifest, task, min_cycle_seconds, bank))
             return built[-1]
 
-        def record_point(config, manifest, features, full_cv):
-            relabeled[config.task, config.min_cycle_seconds] = features
-            return harness.Metrics(0.5, 0.5, 0.5, [], 0)
+        def record_point(config, features, folds, fold_ids=None):
+            relabeled[config.task, config.min_cycle_seconds, config.patch_width] = features
+            return harness.CVResult(config, [], harness.Metrics(0.5, 0.5, 0.5, [], 0))
 
         monkeypatch.setattr(harness, "build_features", spy)
-        monkeypatch.setattr(harness, "_sweep_point_metrics", record_point)
+        monkeypatch.setattr(harness, "run_cv", record_point)
+        monkeypatch.setattr(harness, "config_folds", lambda config, manifest: None)
         harness.sweep_cycle_length(desk_config(), tiny_manifest, lengths=(0.5, 0.7))
         assert calls == [("Task1_4class", 0.5), ("Task1_4class", 0.7)]
         for length, shared in zip((0.5, 0.7), built):
             expected = build(tiny_manifest, "Task1_2class", length)
-            got = relabeled["Task1_2class", length]
+            got = relabeled["Task1_2class", length, 32]
             assert got.keys() == expected.keys()
             for eid, feat in expected.items():
                 assert got[eid].spec is shared[eid].spec
                 np.testing.assert_array_equal(got[eid].spec, feat.spec)
-                assert (got[eid].label, got[eid].patient_id) == (feat.label, feat.patient_id)
+                assert got[eid].label == feat.label
             assert {f.label for f in got.values()} == {0, 1}
 
         calls.clear()
-        harness.sweep_time_resolution(desk_config(task="Task2_3class"), tiny_manifest,
-                                      widths=(32, 64))
+        built.clear()
+        harness.sweep(desk_config(task="Task2_3class"), tiny_manifest, "patch_width", (32, 64))
         assert len(calls) == 1
+        for task in ("Task2_3class", "Task2_2class"):
+            for width in (32, 64):
+                got = relabeled[task, 0.5, width]
+                assert got.keys() == built[0].keys()
+                assert all(got[eid].spec is built[0][eid].spec for eid in got)
 
     def test_best_flag_tie_goes_to_smaller_setting(self):
         rows = [
