@@ -22,7 +22,7 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
-from . import dsp, harness, ingest, models, synth
+from . import dsp, harness, ingest, synth
 from .errors import NumericalError, ParameterError, ParseError, RespdlError
 from .harness import CONFIG_KEYS, IDENTITY_KEYS
 from .nn.gradcheck import standard_suite
@@ -75,6 +75,17 @@ SWEEPS = {
 
 class UsageError(Exception):
     pass
+
+
+def _values_of(kind):
+    """An argparse type: comma-separated values, each converted with ``kind``."""
+    def parse(text):
+        try:
+            return [kind(value) for value in text.split(",")]
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"expected comma-separated {kind.__name__} values, got {text!r}") from None
+    return parse
 
 
 class _Parser(argparse.ArgumentParser):
@@ -158,11 +169,11 @@ def build_parser() -> _Parser:
     p.add_argument("--fold", type=int, default=None,
                    help="must match the checkpoint's fold")
 
-    for command, (_, option, defaults, help_text, values_help) in SWEEPS.items():
+    for command, (key, option, defaults, help_text, values_help) in SWEEPS.items():
         p = sub.add_parser(command, help=help_text)
         _add_config_flags(p)
-        p.add_argument(option, dest="values", default=",".join(f"{v:g}" for v in defaults),
-                       metavar=option[2:].upper(), help=values_help)
+        p.add_argument(option, dest="values", type=_values_of(harness.SWEEP_KEYS[key][0]),
+                       default=defaults, metavar=option[2:].upper(), help=values_help)
         p.add_argument("--full-cv", action="store_true",
                        help="average all folds instead of fold 0")
 
@@ -304,8 +315,7 @@ def cmd_eval(args) -> int:
 def cmd_sweep(args) -> int:
     cfg = build_config(args)
     manifest = _load_manifest(cfg)
-    # harness.sweep converts each value to its config key's type
-    report = harness.sweep(cfg, manifest, SWEEPS[args.command][0], args.values.split(","),
+    report = harness.sweep(cfg, manifest, SWEEPS[args.command][0], args.values,
                            full_cv=args.full_cv)
     run_dir = _run_dir(cfg)
     (run_dir / f"{args.command.replace('-', '_')}.csv").write_text(report.to_csv())
@@ -321,7 +331,7 @@ def cmd_predict(args) -> int:
                                       harness.min_entity_seconds(cfg.task, cfg.min_cycle_seconds),
                                       dsp.build_gammatone_bank(), wav.name)
     patches = harness.normalized_patches(spec, ckpt.stats, cfg.patch_width)
-    probs = models.aggregate_patches(ckpt.model.forward(patches, train=False))
+    probs = harness.evaluate_entities(ckpt.model, {wav.name: patches})[wav.name]
     print(",".join(ingest.TASK_CLASS_NAMES[cfg.task]))
     print(",".join(f"{p:.6f}" for p in probs))
     return 0

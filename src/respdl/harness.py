@@ -840,14 +840,12 @@ class SweepReport:
 
 
 def _flag_best(rows):
-    """Mark the argmax score per task; ties go to the smaller setting."""
-    by_task: dict[str, SweepRow] = {}
-    for row in rows:  # rows arrive in ascending setting order
-        cur = by_task.get(row.task)
-        if cur is None or row.icbhi_score > cur.icbhi_score:
-            by_task[row.task] = row
-    for row in by_task.values():
-        row.best = True
+    """Mark the argmax score per task; ties go to the smaller setting,
+    whatever order the rows come in."""
+    for task in {row.task for row in rows}:
+        best = max((row for row in rows if row.task == task),
+                   key=lambda row: (row.icbhi_score, -row.seconds))
+        best.best = True
 
 
 def _relabel(features: dict[str, EntityFeatures], manifest: ingest.DatasetManifest,

@@ -100,7 +100,6 @@ class AudioRecording:
     sample_rate: int
     recording_id: str
     patient_id: str
-    diagnosis: str | None = None
 
 
 @dataclass(frozen=True)

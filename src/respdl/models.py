@@ -17,8 +17,10 @@ through the fused softmax+cross-entropy backward, entered via
 dict, its parameters and batch-norm running statistics: ``state()`` copies
 it out and ``load_state()`` checks and copies it back in.
 
-Canonical shape schedules (patch width 128) are asserted at construction;
-other widths reuse the same pooling schedule and must stay divisible.
+The layers are the only description of each architecture: the output
+shape of every block follows from them. Any patch width reuses the same
+pooling schedule; one that the pooling does not divide fails at the first
+forward with a ShapeError.
 """
 
 from __future__ import annotations
@@ -41,28 +43,6 @@ from .nn.layers import (
     xavier_uniform,
 )
 from .nn.rnn import BiGRU
-
-# Output columns of the two architecture tables, patch width 128:
-# (freq, time, channels) per conv block, then the flat tails.
-CNN_MOE_TRACE_128 = (
-    (32, 64, 64),
-    (16, 32, 128),
-    (16, 32, 256),
-    (8, 16, 256),
-    (8, 16, 512),
-    (512,),
-)
-CRNN_TRACE_128 = (
-    (32, 128, 64),
-    (16, 128, 128),
-    (4, 128, 256),
-    (128, 512),
-    (256, 512),
-    (256,),
-    (1024,),
-    (1024,),
-)
-
 
 class MoELayer:
     """Mixture of experts over a feature vector.
@@ -150,20 +130,16 @@ class Sequential:
     one trailing softmax.
 
     A subclass sets ``name``, ``patch_width``, ``blocks`` (lists of
-    layers), ``head`` (the layers after the blocks, in forward order; each
-    is also a model attribute, where per-layer instrumentation finds it)
-    and ``_trace``. Layer order fixes the order of ``params()``, which the
-    optimizer state follows.
+    layers) and ``head`` (the layers after the blocks, in forward order;
+    each is also a model attribute, where per-layer instrumentation finds
+    it). Layer order fixes the order of ``params()``, which the optimizer
+    state follows.
     """
 
     def _layers(self):
         for block in self.blocks:
             yield from block
         yield from self.head
-
-    def shape_trace(self):
-        """Per-block output shapes, then the head's, then the class count."""
-        return self._trace
 
     def forward(self, x, train=False):
         if x.ndim == 3:
@@ -239,7 +215,6 @@ class CNNMoE(Sequential):
         if len(dropout_rates) != 6:
             raise ParameterError("CNN-MoE takes six dropout rates")
         init_rng, drop_rng = _spawn_rngs(seed, 2)
-        self.n_classes = n_classes
         self.patch_width = patch_width
         self.blocks = []
         in_ch = 1
@@ -251,23 +226,6 @@ class CNNMoE(Sequential):
             in_ch = out_ch
         self.moe = MoELayer(512, n_classes, n_experts, init_rng, dtype=dtype)
         self.head = (self.moe,)
-        self._trace = self._compute_trace(patch_width)
-        if patch_width == 128:
-            expected = CNN_MOE_TRACE_128 + ((n_classes,),)
-            if self._trace != expected:
-                raise ShapeError(f"CNN-MoE trace {self._trace} != table schedule {expected}")
-
-    def _compute_trace(self, width):
-        h, w = 64, width
-        trace = []
-        for i, (out_ch, pool, global_pool) in enumerate(self._SCHEDULE, start=1):
-            if pool is not None:
-                if h % pool[0] or w % pool[1]:
-                    raise ShapeError(f"block{i}: {h}x{w} not divisible by pool {pool}")
-                h, w = h // pool[0], w // pool[1]
-            trace.append((512,) if global_pool else (h, w, out_ch))
-        trace.append((self.n_classes,))
-        return tuple(trace)
 
 
 class CRNN(Sequential):
@@ -290,9 +248,7 @@ class CRNN(Sequential):
         if len(dropout_rates) != 6:
             raise ParameterError("C-RNN takes six dropout rates")
         init_rng, drop_rng = _spawn_rngs(seed, 2)
-        self.n_classes = n_classes
         self.patch_width = patch_width
-        self.gru_hidden = gru_hidden
         self.blocks = []
         in_ch = 1
         for i, ((out_ch, pool), p) in enumerate(zip(self._SCHEDULE, dropout_rates[:4]), start=1):
@@ -313,26 +269,6 @@ class CRNN(Sequential):
         self.fc3 = Dense(1024, n_classes, init_rng, name="fc3", dtype=dtype)
         self.head = (self.drop_freq, self.gru, self.feat_pool, self.fc1, self.relu1,
                      self.drop1, self.fc2, self.relu2, self.drop2, self.fc3)
-        self._trace = self._compute_trace(patch_width)
-        if patch_width == 128 and gru_hidden == 512:
-            expected = CRNN_TRACE_128 + ((n_classes,),)
-            if self._trace != expected:
-                raise ShapeError(f"C-RNN trace {self._trace} != table schedule {expected}")
-
-    def _compute_trace(self, width):
-        h = 64
-        trace = []
-        for i, (out_ch, pool) in enumerate(self._SCHEDULE, start=1):
-            if h % pool[0]:
-                raise ShapeError(f"block{i}: freq {h} not divisible by pool {pool}")
-            h //= pool[0]
-            trace.append((width, out_ch) if h == 1 else (h, width, out_ch))
-        trace.append((2 * width, self.gru_hidden))
-        trace.append((2 * width,))
-        trace.append((1024,))
-        trace.append((1024,))
-        trace.append((self.n_classes,))
-        return tuple(trace)
 
 
 def build_model(name, n_classes, patch_width=128, seed=0, gru_hidden=512,

@@ -6,8 +6,8 @@ import struct
 import numpy as np
 import pytest
 
-from respdl import harness, ingest, synth
-from respdl.nn import TrainConfig
+from respdl import harness, ingest, models, synth
+from respdl.nn import Dropout, ReLU, TrainConfig
 
 
 def write_raw_wav(path, fmt_code, bits, channels, rate, payload):
@@ -59,6 +59,26 @@ def desk_config(model="cnn_moe", **overrides):
     )
     base.update(overrides)
     return harness.ExperimentConfig(**base)
+
+
+def forward_shapes(model):
+    """Per-sample output shapes of one batch-1 training forward, as the
+    architecture tables list them: one per conv block (a frequency axis
+    collapsed to one band dropped), then one per head layer that maps
+    features, ending with the logits."""
+    x = np.random.default_rng(0).standard_normal((1, 64, model.patch_width, 1),
+                                                 dtype=np.float32)
+    shapes = []
+    for block in model.blocks:
+        for layer in block:
+            x = layer.forward(x, train=True)
+        shape = x.shape[1:]
+        shapes.append(shape[1:] if len(shape) == 3 and shape[0] == 1 else shape)
+    for layer in model.head:
+        x = layer.forward(x, train=True)
+        if not isinstance(layer, (ReLU, Dropout, models._DropFreq)):
+            shapes.append(x.shape[1:])
+    return tuple(shapes)
 
 
 @pytest.fixture

@@ -19,7 +19,7 @@ from respdl.harness import compute_metrics
 from respdl.nn import TrainConfig, cross_entropy, l2_penalty, softmax, Param
 from respdl.nn.gradcheck import standard_suite
 
-from conftest import desk_config
+from conftest import desk_config, forward_shapes
 
 
 def report(name: str, ok: bool, detail: str = ""):
@@ -42,11 +42,11 @@ class TestAcceptance:
     def test_shape_conformance(self):
         cnn = models.CNNMoE(n_classes=4, patch_width=128, seed=0)
         crnn = models.CRNN(n_classes=4, patch_width=128, gru_hidden=512, seed=0)
-        ok_cnn = cnn.shape_trace() == (
+        ok_cnn = forward_shapes(cnn) == (
             (32, 64, 64), (16, 32, 128), (16, 32, 256),
             (8, 16, 256), (8, 16, 512), (512,), (4,),
         )
-        ok_crnn = crnn.shape_trace() == (
+        ok_crnn = forward_shapes(crnn) == (
             (32, 128, 64), (16, 128, 128), (4, 128, 256),
             (128, 512), (256, 512), (256,), (1024,), (1024,), (4,),
         )

@@ -512,6 +512,26 @@ class TestSweepCommands:
             assert sum(row[7] == "1" for row in rows if row[0] == task) == 1
         assert capsys.readouterr().out == "\n".join(lines) + "\n\n"
 
+    @pytest.mark.parametrize("command,values", [
+        ("sweep-cycle", ("--lengths", "0.5,abc")),
+        ("sweep-timeres", ("--widths", "32.5")),
+    ], ids=["sweep-cycle", "sweep-timeres"])
+    def test_bad_value_is_usage_error(self, tmp_path, command, values, capsys):
+        # the audio directory does not exist: reading it would be a data error (2)
+        assert run_cli(command, "--audio-dir", str(tmp_path / "missing"),
+                       "--out-dir", str(tmp_path / "runs"), *values) == 1
+        err = capsys.readouterr().err
+        assert values[1] in err and "usage:" in err
+        assert not (tmp_path / "runs").exists()
+
+    def test_width_the_pooling_does_not_divide_is_data_error(self, cli_dataset, tmp_path,
+                                                            capsys):
+        assert run_cli("sweep-timeres", "--audio-dir", str(cli_dataset),
+                       "--diagnosis-file", str(cli_dataset / "diagnosis.csv"),
+                       *self.DESK_FLAGS, "--out-dir", str(tmp_path), "--widths", "50") == 2
+        assert "not divisible" in capsys.readouterr().err
+        assert not list(tmp_path.glob("run_*/sweep_timeres.csv"))
+
     @pytest.mark.parametrize("command", ["sweep-cycle", "sweep-timeres"])
     def test_empty_audio_dir_is_data_error(self, tmp_path, command, capsys):
         (tmp_path / "audio").mkdir()

@@ -537,6 +537,12 @@ class TestSweeps:
         ]
         harness._flag_best(rows)
         assert [r.best for r in rows] == [True, False, False]
+        descending = [
+            SweepRow("t", "7s", 7.0, None, 0.8, 0.8, 0.8),
+            SweepRow("t", "2s", 2.0, None, 0.8, 0.8, 0.8),
+        ]
+        harness._flag_best(descending)
+        assert [r.best for r in descending] == [False, True]
 
 
 class TestEvaluateEntities:
