@@ -32,7 +32,7 @@ import numpy as np
 
 from . import dsp, ingest, models
 from .augment import LabeledBatch, MixupConfig, duplicate_to_min, mixup_batch
-from .errors import FormatError, NumericalError, ParameterError
+from .errors import FormatError, NumericalError, ParameterError, ShapeError
 from .nn import (
     Adam,
     TrainConfig,
@@ -866,6 +866,17 @@ SWEEP_KEYS = {
 }
 
 
+def _probe_width(config: ExperimentConfig) -> None:
+    """One batch-1 training forward of each member at ``config.patch_width``;
+    a ShapeError names the width and the member."""
+    x = np.zeros((1, 64, config.patch_width), dtype=np.float32)
+    for name in _model_names(config):
+        try:
+            build_member(config, name).forward(x, train=True)
+        except ShapeError as exc:
+            raise ShapeError(f"patch_width {config.patch_width}: {name}: {exc}") from exc
+
+
 def sweep(config: ExperimentConfig, manifest: ingest.DatasetManifest, key: str, values,
           full_cv: bool = False) -> SweepReport:
     """Retrain at each of ``values`` of config ``key`` over both sub-tasks
@@ -877,10 +888,15 @@ def sweep(config: ExperimentConfig, manifest: ingest.DatasetManifest, key: str, 
     Rows are task-major, each task's in the order of ``values``; a
     patch-width row also reports its frame count and the seconds the patch
     spans (width * hop / 16 kHz). Widths outside the standard set (e.g.
-    192) are permitted here for extended sweeps.
+    192) are permitted here for extended sweeps; each member runs one
+    forward at every width first, so a width its pooling does not divide
+    is a ShapeError before anything trains.
     """
     kind, tasks = SWEEP_KEYS[key]
     settings = [replace(config, **{key: kind(value)}) for value in values]  # bad values fail first
+    if key == "patch_width":
+        for setting in settings:
+            _probe_width(setting)
     rows = {task: [] for task in tasks}
     features, built_for = None, None
     for setting in settings:

@@ -19,7 +19,7 @@ from .layers import (
 from .loss import add_l2_grads, cross_entropy, l2_penalty, loss_ce_l2
 from .optim import Adam, TrainConfig
 from .rnn import BiGRU
-from .gradcheck import grad_check, grad_check_model, standard_suite
+from .gradcheck import grad_check, standard_suite
 from .checkpoint import load_checkpoint, save_checkpoint
 
 __all__ = [
@@ -38,7 +38,6 @@ __all__ = [
     "add_l2_grads",
     "cross_entropy",
     "grad_check",
-    "grad_check_model",
     "l2_penalty",
     "load_checkpoint",
     "loss_ce_l2",

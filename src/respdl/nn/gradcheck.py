@@ -1,8 +1,11 @@
 """Finite-difference verification of analytic gradients.
 
-Layers are checked against central differences (default step 1e-5) at
-float64 precision through a fixed random projection of their output, so a
-single scalar exercises every output path. Entries whose analytic/numeric
+``grad_check`` is the one checker: a layer, a chain of layers or a whole
+model is checked against central differences (default step 1e-5) at
+float64 precision. Its objective is a fixed random projection of the
+output, so a single scalar exercises every output path; given class
+targets, it is the training loss instead, ``loss_ce_l2`` with L2 off,
+entered through the fused softmax backward. Entries whose analytic/numeric
 difference is below 1e-8 count as exact; everything else is scored by
 relative error |a - n| / max(|a|, |n|).
 """
@@ -11,7 +14,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from .loss import cross_entropy
+from . import layers as ly
+from .loss import loss_ce_l2
+from .rnn import BiGRU
 
 
 def rel_error(analytic: float, numeric: float) -> float:
@@ -43,24 +48,38 @@ def _fd_compare(scalar_fn, array, analytic, step, sample, rng):
     return worst
 
 
-def grad_check(layer, x, train=True, step=1e-5, sample=None, seed=0):
-    """Check one layer's input and parameter gradients.
+def grad_check(layer, x, train=True, step=1e-5, sample=None, seed=0, targets=None):
+    """Check the input and parameter gradients of ``layer``: anything with
+    ``forward``, ``backward`` and ``params``, a model included.
 
-    The layer must be deterministic in the chosen mode (dropout disabled,
-    batch-norm mode fixed) and built at float64. Returns a report dict with
-    the worst relative error per tensor plus the overall maximum.
+    Without ``targets`` the objective is a random projection of the output,
+    drawn from ``seed``. With one-hot ``targets`` the output must be softmax
+    probabilities and the objective is the training loss, ``loss_ce_l2``
+    with L2 off, whose logit gradient enters ``backward``. ``sample`` limits
+    each tensor to that many random entries (exhaustive differencing over
+    millions of weights is not practical). The layer must be deterministic
+    in the chosen mode (dropout disabled, batch-norm mode fixed) and built at
+    float64. Returns a report dict with the worst relative error per tensor
+    plus the overall maximum.
     """
     rng = np.random.default_rng(seed)
     x = np.array(x, dtype=np.float64)
     out = layer.forward(x, train=train)
-    proj = rng.standard_normal(out.shape)
+    if targets is None:
+        proj = rng.standard_normal(out.shape)
+
+    def objective(out):
+        """The scalar checked, and its gradient with respect to ``out``."""
+        if targets is None:
+            return float((out * proj).sum()), proj
+        return loss_ce_l2(out, targets)
 
     for p in layer.params():
         p.zero_grad()
-    dx = layer.backward(proj)
+    dx = layer.backward(objective(out)[1])
 
     def scalar():
-        return float((layer.forward(x, train=train) * proj).sum())
+        return objective(layer.forward(x, train=train))[0]
 
     per_tensor = {"input": _fd_compare(scalar, x, dx, step, sample, rng)}
     for p in layer.params():
@@ -68,49 +87,45 @@ def grad_check(layer, x, train=True, step=1e-5, sample=None, seed=0):
     return {"max_rel_err": max(per_tensor.values()), "per_tensor": per_tensor}
 
 
-def grad_check_model(model, x, targets, step=1e-5, sample=8, seed=0):
-    """Check a full model's training gradient against finite differences.
+class _Chain:
+    """Layers applied in order, then (``softmax=True``) one softmax whose
+    backward is fused into the loss, as in a model."""
 
-    Uses the real cross-entropy objective through the fused softmax
-    backward; parameter entries are sampled (exhaustive differencing over
-    millions of weights is not practical). Build the model at float64 with
-    dropout rates zeroed.
-    """
-    rng = np.random.default_rng(seed)
-    x = np.array(x, dtype=np.float64)
+    def __init__(self, *layers, softmax=False):
+        self.layers, self.softmax = layers, softmax
 
-    probs = model.forward(x, train=True)
-    for p in model.params():
-        p.zero_grad()
-    dlogits = (probs - targets) / probs.shape[0]
-    dx = model.backward(dlogits)
+    def forward(self, x, train=False):
+        for layer in self.layers:
+            x = layer.forward(x, train)
+        return ly.softmax(x) if self.softmax else x
 
-    def scalar():
-        return cross_entropy(model.forward(x, train=True), targets)
+    def backward(self, dout):
+        for layer in reversed(self.layers):
+            dout = layer.backward(dout)
+        return dout
 
-    per_tensor = {"input": _fd_compare(scalar, x, dx, step, sample, rng)}
-    for p in model.params():
-        per_tensor[p.name] = _fd_compare(scalar, p.data, p.grad, step, sample, rng)
-    return {"max_rel_err": max(per_tensor.values()), "per_tensor": per_tensor}
+    def params(self):
+        return [p for layer in self.layers for p in layer.params()]
 
 
 def standard_suite(step=1e-5, seed=0):
-    """Gradient checks for every layer kind used by the two architectures,
-    plus the composed CNN-MoE and C-RNN on reduced-width inputs.
+    """``grad_check`` over every layer kind used by the two architectures,
+    softmax + cross-entropy through the fused backward, a conv -> relu
+    chain, and the composed CNN-MoE and C-RNN on reduced-width inputs.
 
     Returns rows of (name, max_rel_err, tolerance). Linear layers are held
-    to 1e-8, nonlinear layers to 1e-4, the full compositions to 1e-3.
+    to 1e-8, nonlinear layers to 1e-4, the full models to 1e-3. One
+    generator draws every input and layer in row order; the last row, the
+    mixture of experts, changes no earlier row's draws.
     """
     from .. import models
-    from . import layers as ly
-    from .rnn import BiGRU
 
     f64 = np.float64
     rng = np.random.default_rng(seed)
     rows = []
 
-    def run(name, layer, x, tol, train=True, sample=None):
-        report = grad_check(layer, x, train=train, step=step, sample=sample, seed=seed)
+    def run(name, layer, x, tol, sample=None, targets=None):
+        report = grad_check(layer, x, step=step, sample=sample, seed=seed, targets=targets)
         rows.append((name, report["max_rel_err"], tol))
 
     x4 = rng.standard_normal((2, 8, 8, 3))  # channels-last
@@ -125,41 +140,10 @@ def standard_suite(step=1e-5, seed=0):
     run("feature_avgpool", ly.FeatureAveragePool(), rng.standard_normal((2, 5, 7)), 1e-8)
     run("dropout_off", ly.Dropout(0.0, rng), rng.standard_normal((4, 6)), 1e-8)
     run("bigru", BiGRU(4, 3, rng, dtype=f64), rng.standard_normal((2, 5, 4)), 1e-4)
-
-    # softmax + CE through the fused backward, via a single dense layer
-    head = ly.Dense(6, 4, rng, dtype=f64)
-    xs = rng.standard_normal((5, 6))
-    ts = np.eye(4)[rng.integers(0, 4, size=5)]
-    probs = ly.softmax(head.forward(xs, train=True))
-    head.w.zero_grad()
-    head.b.zero_grad()
-    head.backward((probs - ts) / 5.0)
-
-    def ce_scalar():
-        return cross_entropy(ly.softmax(head.forward(xs)), ts)
-
-    worst = max(
-        _fd_compare(ce_scalar, head.w.data, head.w.grad, step, None, rng),
-        _fd_compare(ce_scalar, head.b.data, head.b.grad, step, None, rng),
-    )
-    rows.append(("softmax_ce", worst, 1e-4))
-
-    # two-layer composition: conv -> relu through one projection
-    class _Stack:  # channels-last (B, H, W, C) input
-        def __init__(self):
-            self.conv = ly.Conv2d(2, 3, 3, 3, rng, dtype=f64)
-            self.relu = ly.ReLU()
-
-        def forward(self, x, train=False):
-            return self.relu.forward(self.conv.forward(x, train), train)
-
-        def backward(self, dout):
-            return self.conv.backward(self.relu.backward(dout))
-
-        def params(self):
-            return self.conv.params()
-
-    run("conv_relu_stack", _Stack(), rng.standard_normal((2, 6, 6, 2)) + 0.1, 1e-4)
+    run("softmax_ce", _Chain(ly.Dense(6, 4, rng, dtype=f64), softmax=True),
+        rng.standard_normal((5, 6)), 1e-4, targets=np.eye(4)[rng.integers(0, 4, size=5)])
+    run("conv_relu_stack", _Chain(ly.Conv2d(2, 3, 3, 3, rng, dtype=f64), ly.ReLU()),
+        rng.standard_normal((2, 6, 6, 2)) + 0.1, 1e-4)
 
     # both full models, reduced width (and GRU size), pooling schedule
     # intact, dropout zeroed
@@ -172,8 +156,7 @@ def standard_suite(step=1e-5, seed=0):
             dtype=f64)),
     )
     for name, model in full_models:
-        xm = rng.standard_normal((2, 64, 16))
-        tm = np.eye(3)[rng.integers(0, 3, size=2)]
-        report = grad_check_model(model, xm, tm, step=step, sample=6, seed=seed)
-        rows.append((name, report["max_rel_err"], 1e-3))
+        run(name, model, rng.standard_normal((2, 64, 16)), 1e-3, sample=6,
+            targets=np.eye(3)[rng.integers(0, 3, size=2)])
+    run("moe", models.MoELayer(6, 4, 3, rng, dtype=f64), rng.standard_normal((5, 6)), 1e-4)
     return rows

@@ -20,9 +20,10 @@ A layer keeps the activations its ``backward`` reads only from a
 clears its cache: inference keeps none, and after a training step a layer
 holds only its parameters, their gradients and (batch normalization) its
 running statistics. A ``backward`` with no training forward before it
-raises ``ParameterError`` naming the layer. The pooling layers keep only
-an input shape, and dropout outside training is the identity, backward
-too; neither checks.
+raises ``ParameterError`` naming the layer. Non-overlapping average
+pooling keeps nothing, the global and feature average pools keep only an
+input shape, and dropout outside training is the identity, backward too;
+none of them checks.
 """
 
 from __future__ import annotations
@@ -310,7 +311,6 @@ class AvgPool2d:
 
     def __init__(self, kh, kw):
         self.kh, self.kw = kh, kw
-        self._shape = None
 
     def forward(self, x, train=False):
         b, h, w, c = x.shape
@@ -318,7 +318,6 @@ class AvgPool2d:
             raise ShapeError(
                 f"avgpool {self.kh}x{self.kw}: input {h}x{w} not divisible"
             )
-        self._shape = x.shape
         return x.reshape(b, h // self.kh, self.kh, w // self.kw, self.kw, c).mean(axis=(2, 4))
 
     def backward(self, dout):

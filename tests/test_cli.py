@@ -235,6 +235,25 @@ class TestTrainArtifacts:
             (trained_run / "report.csv").read_bytes()
 
 
+    def test_patient_independent_folds_keep_each_patient_whole(self, cli_dataset,
+                                                               trained_run, tmp_path):
+        manifest = ingest.build_manifest(cli_dataset, cli_dataset / "diagnosis.csv",
+                                         "Task1_4class")
+        patient = {eid: pid for eid, _, pid in manifest.entities("Task1_4class")}
+
+        def folds_per_patient(run):
+            folds = {}
+            for eid, fold in (line.split(",") for line in (run / "folds.csv").read_text().split()):
+                folds.setdefault(patient[eid], set()).add(fold)
+            return folds
+
+        run = train_run(cli_dataset, tmp_path, "--patient-independent", "true",
+                        "--fold", "0", "--epochs", "1")
+        assert all(len(folds) == 1 for folds in folds_per_patient(run).values())
+        # the default, class-stratified split does divide patients
+        assert any(len(folds) > 1 for folds in folds_per_patient(trained_run).values())
+
+
 class TestEvalAndPredict:
     def test_eval_checkpoint(self, trained_run, cli_dataset, capsys):
         code = run_cli(
@@ -525,11 +544,16 @@ class TestSweepCommands:
         assert not (tmp_path / "runs").exists()
 
     def test_width_the_pooling_does_not_divide_is_data_error(self, cli_dataset, tmp_path,
-                                                            capsys):
+                                                            capsys, monkeypatch):
+        trained = []
+        monkeypatch.setattr(harness, "train_loop", lambda *args, **kwargs: trained.append(1))
         assert run_cli("sweep-timeres", "--audio-dir", str(cli_dataset),
                        "--diagnosis-file", str(cli_dataset / "diagnosis.csv"),
-                       *self.DESK_FLAGS, "--out-dir", str(tmp_path), "--widths", "50") == 2
-        assert "not divisible" in capsys.readouterr().err
+                       *self.DESK_FLAGS, "--out-dir", str(tmp_path), "--jobs", "1",
+                       "--widths", "32,50") == 2
+        err = capsys.readouterr().err
+        assert "not divisible" in err and "50" in err and "cnn_moe" in err
+        assert not trained  # the width is rejected before the first one trains
         assert not list(tmp_path.glob("run_*/sweep_timeres.csv"))
 
     @pytest.mark.parametrize("command", ["sweep-cycle", "sweep-timeres"])

@@ -323,6 +323,17 @@ class TestRunFold:
         assert a.metrics == b.metrics
         assert_same_members(a.members, b.members)
 
+    @pytest.mark.parametrize("select", ["best", "final"])
+    def test_select_keeps_that_epochs_state(self, select, synth_features, synth_folds):
+        cfg = desk_config(train=TrainConfig(epochs=4, batch_size=8, lr=1e-3, seed=31),
+                          early_stop_acc=0.0, select=select)
+        member, = harness.run_fold(cfg, 0, synth_features, synth_folds).members
+        scores = [row[2] for row in member.history]
+        assert max(scores) > scores[-1]  # the best epoch is not the last one
+        truths = {eid: synth_features[eid].label for eid in member.heldout_probs}
+        kept = scores[-1] if select == "final" else max(scores)
+        assert harness.score(member.heldout_probs, truths, cfg.task).icbhi_score == kept
+
     def test_nan_abort_keeps_last_good(self, synth_features, synth_folds, monkeypatch):
         cfg = desk_config(train=TrainConfig(epochs=2, batch_size=8, lr=1e-3, seed=3))
 
