@@ -1,12 +1,13 @@
 """Command-line entry point.
 
 Subcommands wire the pipeline end to end: ``synth`` (fixture generator),
-``ingest`` (manifest + folds), ``train`` (cross-validated training),
-``eval`` (score a checkpoint), ``sweep-cycle`` and ``sweep-timeres`` (the
-cycle-length and time-resolution analyses: one sweep, over the minimum
-cycle length or the patch width), ``predict`` (score one WAV) and
-``gradcheck`` (finite-difference verification). Features are computed from
-the WAV files on every run; nothing is cached on disk.
+``ingest`` (a run's manifest, rejects and folds, as ``train`` writes them),
+``train`` (cross-validated training), ``eval`` (score a checkpoint),
+``sweep-cycle`` and ``sweep-timeres`` (the cycle-length and
+time-resolution analyses: one sweep, over the minimum cycle length or the
+patch width), ``predict`` (score one WAV) and ``gradcheck``
+(finite-difference verification). Features are computed from the WAV
+files on every run; nothing is cached on disk.
 
 Configuration precedence: command-line flag beats config-file value beats
 built-in default. Config files are flat ``key=value`` lines with ``#``
@@ -150,14 +151,8 @@ def build_parser() -> _Parser:
     p.add_argument("--cycle-seconds", type=float, default=0.56)
     p.add_argument("--sr", type=int, default=16000)
 
-    p = sub.add_parser("ingest", help="build the dataset manifest and folds")
-    p.add_argument("--audio-dir", required=True)
-    p.add_argument("--diagnosis", required=True)
-    p.add_argument("--task", default="Task1_4class", choices=ingest.TASKS)
-    p.add_argument("--out", required=True, help="output directory")
-    p.add_argument("--k", type=int, default=5)
-    p.add_argument("--fold-seed", type=int, default=7)
-    p.add_argument("--patient-independent", action="store_true")
+    p = sub.add_parser("ingest", help="write the manifest, rejects and folds of a run")
+    _add_config_flags(p)
 
     p = sub.add_parser("train", help="train with k-fold cross-validation")
     _add_config_flags(p)
@@ -206,6 +201,16 @@ def _run_dir(cfg: harness.ExperimentConfig) -> Path:
     return run_dir
 
 
+def _save_dataset(cfg: harness.ExperimentConfig, manifest: ingest.DatasetManifest,
+                  folds: ingest.FoldAssignment) -> Path:
+    """The run directory, with the manifest, rejects and fold assignment in it."""
+    run_dir = _run_dir(cfg)
+    ingest.save_manifest(manifest, run_dir / "manifest.txt")
+    ingest.save_rejects(manifest, run_dir / "rejects.csv")
+    ingest.save_folds(folds, run_dir / "folds.csv")
+    return run_dir
+
+
 def _save_fold_outputs(run_dir: Path, cfg, result: harness.FoldResult):
     for member in result.members:
         stem = f"{member.name}_fold{result.fold_id}"
@@ -239,19 +244,14 @@ def cmd_synth(args) -> int:
 
 
 def cmd_ingest(args) -> int:
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    manifest = ingest.build_manifest(args.audio_dir, args.diagnosis, args.task)
-    ingest.save_manifest(manifest, out / "manifest.txt")
-    ingest.save_rejects(manifest, out / "rejects.csv")
-    counts = manifest.class_counts()
+    cfg = build_config(args)
+    manifest = _load_manifest(cfg)
+    folds = harness.config_folds(cfg, manifest)
+    run_dir = _save_dataset(cfg, manifest, folds)
     print(f"recordings={len(manifest.records)} cycles={manifest.total_cycles} "
-          f"counts={counts} rejects={len(manifest.rejects)}")
-    if manifest.records:
-        folds = ingest.make_folds(manifest, args.k, args.fold_seed, args.task,
-                                  args.patient_independent)
-        ingest.save_folds(folds, out / "folds.csv")
-        print(f"fold sizes: {folds.fold_sizes()}")
+          f"counts={manifest.class_counts()} rejects={len(manifest.rejects)}")
+    print(f"fold sizes: {folds.fold_sizes()}")
+    print(f"run directory: {run_dir}")
     return 0
 
 
@@ -262,11 +262,7 @@ def cmd_train(args) -> int:
     folds = harness.config_folds(cfg, manifest)
     for eid in [e for e in folds.assignment if e not in features]:
         del folds.assignment[eid]  # cycles that extraction skipped
-    run_dir = _run_dir(cfg)
-    ingest.save_manifest(manifest, run_dir / "manifest.txt")
-    if manifest.rejects:
-        ingest.save_rejects(manifest, run_dir / "rejects.csv")
-    ingest.save_folds(folds, run_dir / "folds.csv")
+    run_dir = _save_dataset(cfg, manifest, folds)
 
     fold_ids = [args.fold] if args.fold is not None else None
     try:

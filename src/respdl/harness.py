@@ -5,7 +5,11 @@ analyses.
 
 Cross-validation trains each (fold, member) pair as an independent job, in
 a pool of worker processes that each run BLAS on one thread, and scores
-and fuses the folds in the calling process. A trained member is one
+and fuses the folds in the calling process. A member trains through one
+epoch loop: ``run_epoch`` advances its ``TrainState`` (model, ``Adam``,
+shuffle, mixup and dropout generators, history and train accuracies, and
+the selection's best score and state) by an epoch, and ``train_loop``
+repeats it up to the epoch count or the early stop. A trained member is one
 ``MemberResult``: its history, its model state (``Sequential.state()``,
 which is also what its checkpoint holds), its held-out probabilities and
 the fold's norm statistics; a ``FoldResult`` is the fold's score and its
@@ -25,6 +29,7 @@ import hashlib
 import logging
 import multiprocessing
 import os
+from collections.abc import Callable
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
@@ -137,19 +142,14 @@ def _parse_value(key: str, text: str, target_type):
 def config_from_dict(values: dict[str, str], base: ExperimentConfig | None = None) -> ExperimentConfig:
     """Build a validated config from flat string values; unknown keys fail."""
     cfg = base if base is not None else ExperimentConfig()
-    exp_fields = {f.name: f for f in fields(ExperimentConfig) if f.name != "train"}
-    train_fields = {f.name: f for f in fields(TrainConfig)}
     exp_kwargs, train_kwargs = {}, {}
     for key, text in values.items():
-        if key in exp_fields:
-            exp_kwargs[key] = _parse_value(key, str(text), type(getattr(cfg, key)))
-        elif key in train_fields:
-            train_kwargs[key] = _parse_value(key, str(text), type(getattr(cfg.train, key)))
-        else:
+        if key not in CONFIG_KEYS:
             raise ParameterError(f"unknown config key {key!r}")
+        owner, kwargs = (cfg.train, train_kwargs) if key in _TRAIN_KEYS else (cfg, exp_kwargs)
+        kwargs[key] = _parse_value(key, str(text), type(getattr(owner, key)))
     new_train = replace(cfg.train, **train_kwargs)
-    new_cfg = replace(cfg, train=new_train, **exp_kwargs)
-    return new_cfg.validate()
+    return replace(cfg, train=new_train, **exp_kwargs).validate()
 
 
 def config_text(cfg: ExperimentConfig) -> str:
@@ -239,6 +239,11 @@ class Metrics:
     confusion: list  # N x N counts, confusion[true][pred]
     n_entities: int
 
+    @classmethod
+    def of(cls, specificity, sensitivity, confusion: np.ndarray) -> Metrics:
+        spec, sen = float(specificity), float(sensitivity)
+        return cls(spec, sen, (spec + sen) / 2.0, confusion.tolist(), int(confusion.sum()))
+
 
 def compute_metrics(predictions: dict, truths: dict, task: str) -> Metrics:
     """Specificity over the baseline class (index 0), exact-class
@@ -255,15 +260,7 @@ def compute_metrics(predictions: dict, truths: dict, task: str) -> Metrics:
     other_total = conf[1:].sum()
     if baseline_total == 0 or other_total == 0:
         raise ParameterError("need entities in both the baseline and the other classes")
-    specificity = conf[0, 0] / baseline_total
-    sensitivity = np.trace(conf[1:, 1:]) / other_total
-    return Metrics(
-        specificity=float(specificity),
-        sensitivity=float(sensitivity),
-        icbhi_score=(float(specificity) + float(sensitivity)) / 2.0,
-        confusion=conf.tolist(),
-        n_entities=int(conf.sum()),
-    )
+    return Metrics.of(conf[0, 0] / baseline_total, np.trace(conf[1:, 1:]) / other_total, conf)
 
 
 def score(probs: dict, truths: dict, task: str) -> Metrics:
@@ -369,70 +366,86 @@ def build_features(
 # ---------------------------------------------------------------------------
 
 
-def train_loop(
-    model,
-    x,
-    y,
-    cfg: TrainConfig,
-    mixup_cfg: MixupConfig | None = None,
-    seed=0,
-    score_fn=None,
-    early_stop_acc: float = 0.0,
-    early_stop_patience: int = 3,
-):
-    """Mini-batch Adam training with optional in-batch mixup.
-
-    ``score_fn(model, epoch)`` is called after every epoch and its value is
-    recorded in the history next to the mean train loss. Training accuracy
-    is measured against the un-mixed batch labels. With ``early_stop_acc``
-    set, training stops once accuracy holds at or above it for
-    ``early_stop_patience`` consecutive epochs.
-
-    Returns (history, train_accs): history rows are (epoch, train_loss,
-    score). Raises NumericalError if predictions go non-finite.
+@dataclass
+class TrainState:
+    """One member's training, everything ``run_epoch`` reads and advances,
+    so a copy taken after any epoch continues the run exactly. History rows
+    are (epoch, train_loss, score); ``score_fn(model)`` scores each epoch,
+    and the best score and a copy of the model state that reached it are
+    the selection. The dropout generator is the model's ``drop_rng``.
     """
-    params = model.params()
-    adam = Adam(params, lr=cfg.lr, beta1=cfg.beta1, beta2=cfg.beta2, eps=cfg.eps)
-    shuffle_ss, mix_ss = np.random.SeedSequence(seed).spawn(2)
-    shuffle_rng = np.random.default_rng(shuffle_ss)
-    mix_rng = np.random.default_rng(mix_ss)
 
-    n = x.shape[0]
-    history = []
-    train_accs = []
-    streak = 0
-    for epoch in range(1, cfg.epochs + 1):
-        perm = shuffle_rng.permutation(n)
-        losses = []
-        correct = 0
-        for start in range(0, n, cfg.batch_size):
-            idx = perm[start : start + cfg.batch_size]
-            xb, yb = x[idx], y[idx]
-            if mixup_cfg is not None and mixup_cfg.enabled:
-                batch = mixup_batch(LabeledBatch(xb, yb), mixup_cfg, mix_rng)
-                xb_in, yb_in = batch.patches, batch.targets
-            else:
-                xb_in, yb_in = xb, yb
-            probs = model.forward(xb_in, train=True)
-            loss, dlogits = loss_ce_l2(probs, yb_in, params, cfg.l2_lambda)
-            adam.zero_grad()
-            model.backward(dlogits.astype(probs.dtype))
-            add_l2_grads(params, cfg.l2_lambda)
-            adam.step()
-            losses.append(loss)
-            correct += int((probs.argmax(axis=1) == yb.argmax(axis=1)).sum())
-        train_loss = float(np.mean(losses))
-        train_acc = correct / n
-        score = float(score_fn(model, epoch)) if score_fn is not None else float("nan")
-        history.append((epoch, train_loss, score))
-        train_accs.append(train_acc)
-        if early_stop_acc > 0.0 and train_acc >= early_stop_acc:
-            streak += 1
-            if streak >= early_stop_patience:
-                break
+    model: models.Sequential
+    adam: Adam
+    shuffle_rng: np.random.Generator
+    mix_rng: np.random.Generator
+    drop_rng: np.random.Generator
+    score_fn: Callable | None = None
+    history: list = field(default_factory=list)
+    train_accs: list = field(default_factory=list)
+    best_score: float = -1.0
+    best_state: dict | None = None
+
+    @classmethod
+    def start(cls, model, cfg: TrainConfig, seed=0, score_fn=None) -> TrainState:
+        """A fresh record, its shuffle and mixup generators seeded from
+        ``seed``; with a ``score_fn``, the untrained state is the best
+        until an epoch scores."""
+        adam = Adam(model.params(), lr=cfg.lr, beta1=cfg.beta1, beta2=cfg.beta2, eps=cfg.eps)
+        rngs = (np.random.default_rng(s) for s in np.random.SeedSequence(seed).spawn(2))
+        return cls(model, adam, *rngs, model.drop_rng, score_fn,
+                   best_state=model.state() if score_fn is not None else None)
+
+
+def run_epoch(state: TrainState, x, y, cfg: TrainConfig,
+              mixup_cfg: MixupConfig | None = None) -> None:
+    """Advance ``state`` by one epoch of mini-batch Adam with optional
+    in-batch mixup. Training accuracy is measured against the un-mixed
+    batch labels. Raises NumericalError if predictions go non-finite."""
+    model, params = state.model, state.adam.params
+    perm = state.shuffle_rng.permutation(len(x))
+    losses, correct = [], 0
+    for start in range(0, len(x), cfg.batch_size):
+        idx = perm[start : start + cfg.batch_size]
+        xb, yb = x[idx], y[idx]
+        if mixup_cfg is not None and mixup_cfg.enabled:
+            batch = mixup_batch(LabeledBatch(xb, yb), mixup_cfg, state.mix_rng)
+            xb_in, yb_in = batch.patches, batch.targets
         else:
-            streak = 0
-    return history, train_accs
+            xb_in, yb_in = xb, yb
+        probs = model.forward(xb_in, train=True)
+        loss, dlogits = loss_ce_l2(probs, yb_in, params, cfg.l2_lambda)
+        state.adam.zero_grad()
+        model.backward(dlogits.astype(probs.dtype))
+        add_l2_grads(params, cfg.l2_lambda)
+        state.adam.step()
+        losses.append(loss)
+        correct += int((probs.argmax(axis=1) == yb.argmax(axis=1)).sum())
+    score = float(state.score_fn(model)) if state.score_fn is not None else float("nan")
+    if score > state.best_score:
+        state.best_score, state.best_state = score, model.state()
+    state.history.append((len(state.history) + 1, float(np.mean(losses)), score))
+    state.train_accs.append(correct / len(x))
+
+
+def early_stopped(train_accs, acc: float, patience: int) -> bool:
+    """Whether the last ``patience`` train accuracies all reach ``acc``;
+    never while ``acc`` is 0."""
+    tail = train_accs[-max(patience, 1):]
+    return acc > 0.0 and len(tail) == max(patience, 1) and min(tail) >= acc
+
+
+def train_loop(model, x, y, cfg: TrainConfig, mixup_cfg: MixupConfig | None = None, seed=0,
+               early_stop_acc: float = 0.0, early_stop_patience: int = 3,
+               state: TrainState | None = None):
+    """``run_epoch`` over ``state`` (default: a fresh record of ``model``
+    from ``seed``) up to ``cfg.epochs``, or until ``early_stopped``.
+    Returns (history, train_accs)."""
+    state = state if state is not None else TrainState.start(model, cfg, seed)
+    while len(state.history) < cfg.epochs and not early_stopped(
+            state.train_accs, early_stop_acc, early_stop_patience):
+        run_epoch(state, x, y, cfg, mixup_cfg)
+    return state.history, state.train_accs
 
 
 def evaluate_entities(model, groups: dict, batch_size: int = 64) -> dict:
@@ -496,10 +509,6 @@ def _model_names(config: ExperimentConfig):
     return ("cnn_moe", "crnn") if config.model == "ensemble" else (config.model,)
 
 
-def _fold_seed(config: ExperimentConfig, fold_id: int, model_index: int) -> list[int]:
-    return [config.train.seed, fold_id, model_index]
-
-
 def config_folds(config: ExperimentConfig,
                  manifest: ingest.DatasetManifest) -> ingest.FoldAssignment:
     """``config``'s fold assignment of the entities of its task."""
@@ -526,12 +535,11 @@ def fold_inputs(
     the training set and the held-out entities into patches."""
     train_ids, heldout_ids = fold_split(features, folds, fold_id)
     stats = dsp.fit_norm_stats([features[e].spec for e in train_ids])
-    dtype = np.float32
-    train_groups = [normalized_patches(features[eid].spec, stats, config.patch_width, dtype)
+    train_groups = [normalized_patches(features[eid].spec, stats, config.patch_width)
                     for eid in train_ids]
     x = np.concatenate(train_groups)
     labels = [features[eid].label for eid in train_ids]
-    y = np.repeat(np.eye(config.n_classes, dtype=dtype)[labels],
+    y = np.repeat(np.eye(config.n_classes, dtype=np.float32)[labels],
                   [len(g) for g in train_groups], axis=0)
     del train_groups
     return FoldInputs(stats, x, y, *heldout_set(features, heldout_ids, stats, config.patch_width))
@@ -554,40 +562,30 @@ def train_member(config: ExperimentConfig, fold_id: int, name: str,
     raised NumericalError, with the member, fold and norm statistics.
     """
     model_index = _model_names(config).index(name)
-    seed_seq = np.random.SeedSequence(_fold_seed(config, fold_id, model_index))
+    seed_seq = np.random.SeedSequence([config.train.seed, fold_id, model_index])
     init_seed, loop_seed = (int(s.generate_state(1)[0]) for s in seed_seq.spawn(2))
     model = build_member(config, name, seed=init_seed, dtype=inputs.x.dtype)
-    best = {"score": -1.0, "state": model.state()}
 
-    def score_fn(m, epoch):
-        probs = evaluate_entities(m, inputs.heldout_groups)
-        icbhi = score(probs, inputs.truths, config.task).icbhi_score
-        if icbhi > best["score"]:
-            best["score"] = icbhi
-            best["state"] = m.state()
-        return icbhi
+    def heldout_score(m):
+        return score(evaluate_entities(m, inputs.heldout_groups), inputs.truths,
+                     config.task).icbhi_score
 
+    state = TrainState.start(model, config.train, loop_seed, heldout_score)
     try:
         history, _ = train_loop(
-            model,
-            inputs.x,
-            inputs.y,
-            config.train,
+            model, inputs.x, inputs.y, config.train,
             mixup_cfg=MixupConfig(alpha=config.mixup_alpha, enabled=config.mixup),
-            seed=loop_seed,
-            score_fn=score_fn,
             early_stop_acc=config.early_stop_acc,
-            early_stop_patience=config.early_stop_patience,
-        )
+            early_stop_patience=config.early_stop_patience, state=state)
     except NumericalError as exc:
-        exc.last_good = best["state"]
+        exc.last_good = state.best_state
         exc.model_name = name
         exc.fold_id = fold_id
         exc.stats = inputs.stats
         log.error("fold %d %s: NaN abort, retaining last good state", fold_id, name)
         raise
     if config.select == "best":
-        model.load_state(best["state"])
+        model.load_state(state.best_state)
     return MemberResult(name, history, model.state(),
                         evaluate_entities(model, inputs.heldout_groups), inputs.stats)
 
@@ -633,14 +631,7 @@ class CVResult:
 def _mean_metrics(per_fold: list[Metrics]) -> Metrics:
     spec = float(np.mean([m.specificity for m in per_fold]))
     sen = float(np.mean([m.sensitivity for m in per_fold]))
-    conf = np.sum([np.asarray(m.confusion) for m in per_fold], axis=0)
-    return Metrics(
-        specificity=spec,
-        sensitivity=sen,
-        icbhi_score=(spec + sen) / 2.0,
-        confusion=conf.tolist(),
-        n_entities=int(conf.sum()),
-    )
+    return Metrics.of(spec, sen, np.sum([np.asarray(m.confusion) for m in per_fold], axis=0))
 
 
 # Peak resident memory of one training worker, fit to measured peaks of
@@ -784,18 +775,11 @@ def report_csv(result: CVResult) -> str:
     """Fold rows plus the unweighted mean row."""
     cfg = result.config
     setting = run_setting_label(cfg)
-    lines = ["task,setting,fold,specificity,sensitivity,icbhi_score"]
-    for r in result.fold_results:
-        m = r.metrics
-        lines.append(
-            f"{cfg.task},{setting},{r.fold_id},"
-            f"{_fmt(m.specificity)},{_fmt(m.sensitivity)},{_fmt(m.icbhi_score)}"
-        )
-    m = result.mean
-    lines.append(
-        f"{cfg.task},{setting},mean,"
+    rows = [(r.fold_id, r.metrics) for r in result.fold_results] + [("mean", result.mean)]
+    lines = ["task,setting,fold,specificity,sensitivity,icbhi_score"] + [
+        f"{cfg.task},{setting},{fold},"
         f"{_fmt(m.specificity)},{_fmt(m.sensitivity)},{_fmt(m.icbhi_score)}"
-    )
+        for fold, m in rows]
     return "\n".join(lines) + "\n"
 
 

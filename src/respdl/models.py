@@ -132,7 +132,8 @@ class Sequential:
     A subclass sets ``name``, ``patch_width``, ``blocks`` (lists of
     layers) and ``head`` (the layers after the blocks, in forward order;
     each is also a model attribute, where per-layer instrumentation finds
-    it). Layer order fixes the order of ``params()``, which the optimizer
+    it), and ``drop_rng``, the one generator its ``Dropout`` layers draw
+    from. Layer order fixes the order of ``params()``, which the optimizer
     state follows.
     """
 
@@ -214,13 +215,13 @@ class CNNMoE(Sequential):
     ):
         if len(dropout_rates) != 6:
             raise ParameterError("CNN-MoE takes six dropout rates")
-        init_rng, drop_rng = _spawn_rngs(seed, 2)
+        init_rng, self.drop_rng = _spawn_rngs(seed, 2)
         self.patch_width = patch_width
         self.blocks = []
         in_ch = 1
         for i, ((out_ch, pool, gp), p) in enumerate(zip(self._SCHEDULE, dropout_rates), start=1):
             self.blocks.append(
-                _conv_block(in_ch, out_ch, (3, 3), pool, p, init_rng, drop_rng,
+                _conv_block(in_ch, out_ch, (3, 3), pool, p, init_rng, self.drop_rng,
                             f"block{i}", dtype, global_pool=gp)
             )
             in_ch = out_ch
@@ -247,13 +248,13 @@ class CRNN(Sequential):
     ):
         if len(dropout_rates) != 6:
             raise ParameterError("C-RNN takes six dropout rates")
-        init_rng, drop_rng = _spawn_rngs(seed, 2)
+        init_rng, self.drop_rng = _spawn_rngs(seed, 2)
         self.patch_width = patch_width
         self.blocks = []
         in_ch = 1
         for i, ((out_ch, pool), p) in enumerate(zip(self._SCHEDULE, dropout_rates[:4]), start=1):
             self.blocks.append(
-                _conv_block(in_ch, out_ch, (4, 1), pool, p, init_rng, drop_rng,
+                _conv_block(in_ch, out_ch, (4, 1), pool, p, init_rng, self.drop_rng,
                             f"block{i}", dtype)
             )
             in_ch = out_ch
@@ -262,10 +263,10 @@ class CRNN(Sequential):
         self.feat_pool = FeatureAveragePool()
         self.fc1 = Dense(2 * patch_width, 1024, init_rng, name="fc1", dtype=dtype)
         self.relu1 = ReLU(name="relu1")
-        self.drop1 = Dropout(dropout_rates[4], drop_rng)
+        self.drop1 = Dropout(dropout_rates[4], self.drop_rng)
         self.fc2 = Dense(1024, 1024, init_rng, name="fc2", dtype=dtype)
         self.relu2 = ReLU(name="relu2")
-        self.drop2 = Dropout(dropout_rates[5], drop_rng)
+        self.drop2 = Dropout(dropout_rates[5], self.drop_rng)
         self.fc3 = Dense(1024, n_classes, init_rng, name="fc3", dtype=dtype)
         self.head = (self.drop_freq, self.gru, self.feat_pool, self.fc1, self.relu1,
                      self.drop1, self.fc2, self.relu2, self.drop2, self.fc3)

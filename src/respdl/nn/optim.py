@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..errors import ParameterError
+from ..errors import FormatError, ParameterError
 
 
 @dataclass
@@ -62,3 +62,21 @@ class Adam:
     def zero_grad(self):
         for p in self.params:
             p.zero_grad()
+
+    def state(self) -> dict:
+        """The step count ``t`` (a 0-d array) and a copy of each moment by
+        parameter name (``<name>.m``, ``<name>.v``)."""
+        entries = {"t": np.array(self.t)}
+        for p, m, v in zip(self.params, self.m, self.v):
+            entries.update({f"{p.name}.m": m.copy(), f"{p.name}.v": v.copy()})
+        return entries
+
+    def load_state(self, entries: dict) -> None:
+        """Copy a ``state()`` back in. An entry that is missing or has
+        another shape than the optimizer's is a FormatError."""
+        for name, data in self.state().items():
+            if name not in entries or np.shape(entries[name]) != data.shape:
+                raise FormatError(f"Adam state: {name} missing or not of shape {data.shape}")
+        for p, m, v in zip(self.params, self.m, self.v):
+            m[...], v[...] = entries[f"{p.name}.m"], entries[f"{p.name}.v"]
+        self.t = int(entries["t"])

@@ -105,7 +105,7 @@ class TestExitCodes:
         diag = tmp_path / "diag.csv"
         diag.write_text("101,Healthy\n")
         code = run_cli("ingest", "--audio-dir", str(tmp_path),
-                       "--diagnosis", str(diag), "--out", str(tmp_path / "out"))
+                       "--diagnosis-file", str(diag), "--out-dir", str(tmp_path / "out"))
         assert code == 2  # stratification over 1 entity cannot fill 5 folds
 
     @staticmethod
@@ -567,11 +567,11 @@ class TestSweepCommands:
 
 class TestIngestCommand:
     def test_outputs(self, cli_dataset, tmp_path, capsys):
-        out = tmp_path / "ing"
         code = run_cli("ingest", "--audio-dir", str(cli_dataset),
-                       "--diagnosis", str(cli_dataset / "diagnosis.csv"),
-                       "--out", str(out))
+                       "--diagnosis-file", str(cli_dataset / "diagnosis.csv"),
+                       "--out-dir", str(tmp_path / "ing"))
         assert code == 0
+        out, = (tmp_path / "ing").glob("run_*")
         manifest = (out / "manifest.txt").read_text().splitlines()
         assert manifest[:2] == [f"#root {cli_dataset}", "#task Task1_4class"]
         assert len(manifest) == 2 + 40
@@ -580,3 +580,16 @@ class TestIngestCommand:
         assert len(folds) == 40
         assert {fold for _, _, fold in folds} == {"0", "1", "2", "3", "4"}
         assert "cycles=40" in capsys.readouterr().out
+
+    def test_ingest_and_train_write_the_same_manifest_and_folds(self, cli_dataset, tmp_path):
+        flags = ("--audio-dir", str(cli_dataset),
+                 "--diagnosis-file", str(cli_dataset / "diagnosis.csv"),
+                 "--min-cycle-seconds", "0.5", "--patch-width", "32", "--mixup", "false",
+                 "--epochs", "1", "--batch-size", "8", "--lr", "1e-3",
+                 "--patient-independent", "true", "--k", "4", "--fold-seed", "3")
+        assert run_cli("ingest", *flags, "--out-dir", str(tmp_path / "ingest")) == 0
+        assert run_cli("train", *flags, "--out-dir", str(tmp_path / "train"), "--fold", "0") == 0
+        ingested, = (tmp_path / "ingest").glob("run_*")
+        trained = tmp_path / "train" / ingested.name  # out_dir is not part of the run hash
+        for name in ("manifest.txt", "folds.csv", "config.txt"):
+            assert (ingested / name).read_bytes() == (trained / name).read_bytes()

@@ -9,7 +9,8 @@ import time
 import numpy as np
 import pytest
 
-from respdl import dsp, harness, ingest, synth
+from respdl import dsp, harness, ingest, models, synth
+from respdl.augment import MixupConfig
 from respdl.errors import FormatError, NumericalError, ParameterError
 from respdl.harness import (
     CYCLE_SWEEP_LENGTHS,
@@ -359,6 +360,87 @@ class TestRunFold:
             assert len(member.history) == cfg.train.epochs
             assert set(member.heldout_probs) == held
         assert 0.0 <= result.metrics.icbhi_score <= 1.0
+
+
+class TestTrainState:
+    @pytest.mark.parametrize("accs,patience,stops_after", [
+        ([0.99, 0.99, 0.99], 2, 2),
+        ([0.99, 0.5, 0.99, 0.99], 2, 4),  # the dip resets the count
+        ([0.5, 0.99, 0.98, 0.97, 0.99, 0.99, 0.99], 3, 7),
+        ([0.98, 0.5], 1, 1),  # at the threshold counts
+        ([0.99, 0.97, 0.99, 0.97], 2, None),
+        ([0.99, 0.99], 0, 1),  # a patience below one acts as one
+    ])
+    def test_early_stop_rule(self, accs, patience, stops_after):
+        stops = [n for n in range(len(accs) + 1)
+                 if harness.early_stopped(accs[:n], 0.98, patience)]
+        assert (stops[0] if stops else None) == stops_after
+        assert not harness.early_stopped(accs, 0.0, patience)  # 0 disables the stop
+
+    def test_train_loop_stops_by_the_rule(self, monkeypatch):
+        accs = [0.99, 0.5, 0.99, 0.99, 0.99, 0.99]
+
+        def epoch(state, *args):
+            state.history.append((len(state.history) + 1, 0.0, 0.0))
+            state.train_accs.append(accs[len(state.train_accs)])
+
+        monkeypatch.setattr(harness, "run_epoch", epoch)
+        model = models.CNNMoE(4, patch_width=32, n_experts=2)
+        history, train_accs = harness.train_loop(model, None, None, TrainConfig(epochs=6),
+                                                 early_stop_acc=0.98, early_stop_patience=2)
+        assert train_accs == accs[:4] and len(history) == 4
+
+    @pytest.mark.parametrize("name", ["cnn_moe", "crnn"])
+    def test_resumed_record_continues_bit_identically(self, name, rng):
+        x = rng.standard_normal((12, 64, 32)).astype(np.float32)
+        y = np.eye(4, dtype=np.float32)[rng.integers(0, 4, 12)]
+        cfg = TrainConfig(epochs=4, batch_size=5, lr=1e-3, seed=0)
+        mixup = MixupConfig(alpha=0.2)
+        groups = {"a": x[:3], "b": x[3:6]}
+
+        def fresh():
+            model = models.build_model(name, 4, patch_width=32, seed=5, gru_hidden=16,
+                                       n_experts=3)
+            return harness.TrainState.start(
+                model, cfg, seed=9,
+                score_fn=lambda m: harness.evaluate_entities(m, groups)["a"][0])
+
+        def generators(state):
+            return state.shuffle_rng, state.mix_rng, state.drop_rng
+
+        whole = fresh()
+        harness.train_loop(whole.model, x, y, cfg, mixup, state=whole)
+
+        first = fresh()
+        for _ in range(2):
+            harness.run_epoch(first, x, y, cfg, mixup)
+        saved = (first.model.state(), first.adam.state(),
+                 [g.bit_generator.state for g in generators(first)],
+                 list(first.history), list(first.train_accs), first.best_score,
+                 first.best_state)
+        del first
+
+        resumed = fresh()
+        model_state, adam_state, rng_states, history, accs, best_score, best_state = saved
+        resumed.model.load_state(model_state)
+        resumed.adam.load_state(adam_state)
+        for generator, rng_state in zip(generators(resumed), rng_states, strict=True):
+            generator.bit_generator.state = rng_state
+        resumed.history, resumed.train_accs = history, accs
+        resumed.best_score, resumed.best_state = best_score, best_state
+        for _ in range(2):
+            harness.run_epoch(resumed, x, y, cfg, mixup)
+
+        assert len(whole.history) == 4
+        assert resumed.history == whole.history
+        assert resumed.train_accs == whole.train_accs
+        assert resumed.best_score == whole.best_score
+        for kept, expected in ((resumed.model.state(), whole.model.state()),
+                               (resumed.best_state, whole.best_state),
+                               (resumed.adam.state(), whole.adam.state())):
+            assert kept.keys() == expected.keys()
+            for key in kept:
+                np.testing.assert_array_equal(kept[key], expected[key])
 
 
 class TestRunCV:

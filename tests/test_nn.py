@@ -1,5 +1,6 @@
 """Layer gradients, loss semantics, Adam, GRU behavior, checkpoints."""
 
+import re
 import struct
 
 import numpy as np
@@ -212,6 +213,45 @@ class TestAdam:
             return p.data.copy()
 
         np.testing.assert_array_equal(run(), run())
+
+    @staticmethod
+    def _stepped():
+        """An Adam over a matrix and a vector, three steps in."""
+        adam = Adam([Param("w", np.zeros((2, 3), dtype=F64)), Param("b", np.zeros(3, dtype=F64))],
+                    lr=1e-2)
+        rng = np.random.default_rng(0)
+        for _ in range(3):
+            for p in adam.params:
+                p.grad[:] = rng.standard_normal(p.shape)
+            adam.step()
+        return adam
+
+    def test_state_roundtrip(self):
+        saved = self._stepped().state()
+        assert sorted(saved) == ["b.m", "b.v", "t", "w.m", "w.v"]
+        fresh = Adam([Param("w", np.zeros((2, 3), dtype=F64)), Param("b", np.zeros(3, dtype=F64))])
+        fresh.load_state(saved)
+        assert fresh.t == 3
+        for name, value in fresh.state().items():
+            np.testing.assert_array_equal(value, saved[name])
+        fresh.m[0] += 1.0  # the state is a copy, not the optimizer's arrays
+        assert not np.array_equal(fresh.m[0], saved["w.m"])
+
+    @pytest.mark.parametrize("name,bad", [
+        ("w.m", None), ("b.v", None), ("t", None),
+        ("w.m", np.zeros((3, 2))), ("b.v", np.zeros(4)), ("t", np.zeros(1)),
+    ], ids=["missing-w.m", "missing-b.v", "missing-t",
+            "misshaped-w.m", "misshaped-b.v", "misshaped-t"])
+    def test_bad_entry_is_format_error(self, name, bad):
+        entries = self._stepped().state()
+        if bad is None:
+            del entries[name]
+        else:
+            entries[name] = bad
+        adam = Adam([Param("w", np.zeros((2, 3), dtype=F64)), Param("b", np.zeros(3, dtype=F64))])
+        with pytest.raises(FormatError, match=re.escape(name)):
+            adam.load_state(entries)
+        assert adam.t == 0 and not adam.m[0].any()  # nothing was copied in
 
 
 class TestDropout:
