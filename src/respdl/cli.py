@@ -260,8 +260,6 @@ def cmd_train(args) -> int:
     manifest = _load_manifest(cfg)
     features = harness.build_features(manifest, cfg.task, cfg.min_cycle_seconds)
     folds = harness.config_folds(cfg, manifest)
-    for eid in [e for e in folds.assignment if e not in features]:
-        del folds.assignment[eid]  # cycles that extraction skipped
     run_dir = _save_dataset(cfg, manifest, folds)
 
     fold_ids = [args.fold] if args.fold is not None else None

@@ -106,6 +106,14 @@ class ExperimentConfig:
             raise ParameterError("k must be >= 2")
         if self.jobs < 1:
             raise ParameterError("jobs must be >= 1")
+        if self.early_stop_patience < 1:
+            raise ParameterError("early_stop_patience must be >= 1")
+        if self.mixup_alpha <= 0:
+            raise ParameterError("mixup_alpha must be > 0")
+        if self.moe_experts < 1:
+            raise ParameterError("moe_experts must be >= 1")
+        if self.gru_hidden < 1:
+            raise ParameterError("gru_hidden must be >= 1")
         return self
 
     @property

@@ -10,6 +10,10 @@ one, leaving a per-frame 512-dim sequence; a bidirectional GRU doubles the
 frame count, per-frame feature averaging yields one value per frame, and
 three dense layers produce the logits.
 
+Every averaging step is one ``Mean`` layer: the global pool over both
+spatial axes, the drop of the one band the C-RNN front leaves, and the
+per-frame feature average.
+
 Both share ``Sequential``: conv blocks, then a head, then one softmax, so
 their forward passes produce row-stochastic outputs; training drives them
 through the fused softmax+cross-entropy backward, entered via
@@ -25,6 +29,8 @@ forward with a ShapeError.
 
 from __future__ import annotations
 
+from functools import partial
+
 import numpy as np
 
 from .errors import FormatError, ParameterError, ShapeError
@@ -34,8 +40,8 @@ from .nn.layers import (
     Conv2d,
     Dense,
     Dropout,
-    FeatureAveragePool,
-    GlobalAvgPool,
+    Layer,
+    Mean,
     Param,
     ReLU,
     softmax,
@@ -44,7 +50,8 @@ from .nn.layers import (
 )
 from .nn.rnn import BiGRU
 
-class MoELayer:
+
+class MoELayer(Layer):
     """Mixture of experts over a feature vector.
 
     Each expert is a rectified dense map to the class space; a softmax gate
@@ -88,54 +95,47 @@ class MoELayer:
 
     def gate_weights(self, x):
         """Gate distribution for inspection; rows lie on the simplex."""
-        return softmax(x @ self.gate.w.data + self.gate.b.data)
-
-
-class _DropFreq:
-    """(B, 1, T, C) -> (B, T, C) once the conv front has collapsed frequency."""
-
-    def forward(self, x, train=False):
-        return x[:, 0]
-
-    def backward(self, dout):
-        return dout[:, None]
-
-    def params(self):
-        return []
-
-
-def _conv_block(in_ch, out_ch, kernel, pool, p_drop, rng, drop_rng, name, dtype,
-                global_pool=False):
-    """Bn - Cv - Relu - Bn - [Ap | Gp] - Dr, in that order."""
-    layers = [
-        BatchNorm2d(in_ch, name=f"{name}.bn_in", dtype=dtype),
-        Conv2d(in_ch, out_ch, kernel[0], kernel[1], rng, name=f"{name}.conv", dtype=dtype),
-        ReLU(name=f"{name}.relu"),
-        BatchNorm2d(out_ch, name=f"{name}.bn_out", dtype=dtype),
-    ]
-    if pool is not None:
-        layers.append(AvgPool2d(*pool))
-    if global_pool:
-        layers.append(GlobalAvgPool())
-    layers.append(Dropout(p_drop, drop_rng))
-    return layers
-
-
-def _spawn_rngs(seed, n):
-    return [np.random.default_rng(s) for s in np.random.SeedSequence(seed).spawn(n)]
+        return softmax(self.gate.forward(x))
 
 
 class Sequential:
     """Conv blocks over (B, 64, W) patches, a head that returns logits, and
     one trailing softmax.
 
-    A subclass sets ``name``, ``patch_width``, ``blocks`` (lists of
-    layers) and ``head`` (the layers after the blocks, in forward order;
-    each is also a model attribute, where per-layer instrumentation finds
-    it), and ``drop_rng``, the one generator its ``Dropout`` layers draw
-    from. Layer order fixes the order of ``params()``, which the optimizer
-    state follows.
+    A subclass sets ``name``, the conv kernel ``_KERNEL`` and the block
+    schedule ``_SCHEDULE``; its constructor builds the blocks with
+    ``_build_blocks`` and then sets ``head`` (the layers after the blocks,
+    in forward order; each is also a model attribute, where per-layer
+    instrumentation finds it). Layer order fixes the order of ``params()``,
+    which the optimizer state follows.
     """
+
+    def _build_blocks(self, patch_width, dropout_rates, seed, dtype):
+        """Set ``patch_width``, ``drop_rng`` (the one generator the model's
+        ``Dropout`` layers draw from) and ``blocks``: per ``_SCHEDULE``
+        entry (out_ch, pooling layer maker or None), the layers Bn - Cv -
+        Relu - Bn - [pool] - Dr, taking the previous block's channels and
+        the next dropout rate. Returns the generator that initialized them,
+        for the head."""
+        if len(dropout_rates) != 6:
+            raise ParameterError(f"{self.name} takes six dropout rates")
+        seeds = np.random.SeedSequence(seed).spawn(2)
+        init_rng, self.drop_rng = (np.random.default_rng(s) for s in seeds)
+        self.patch_width = patch_width
+        self.blocks = []
+        in_ch = 1
+        for i, ((out_ch, pool), p) in enumerate(zip(self._SCHEDULE, dropout_rates), start=1):
+            block = [
+                BatchNorm2d(in_ch, name=f"block{i}.bn_in", dtype=dtype),
+                Conv2d(in_ch, out_ch, *self._KERNEL, init_rng, name=f"block{i}.conv", dtype=dtype),
+                ReLU(name=f"block{i}.relu"),
+                BatchNorm2d(out_ch, name=f"block{i}.bn_out", dtype=dtype),
+            ]
+            if pool is not None:
+                block.append(pool())
+            self.blocks.append(block + [Dropout(p, self.drop_rng)])
+            in_ch = out_ch
+        return init_rng
 
     def _layers(self):
         for block in self.blocks:
@@ -163,17 +163,16 @@ class Sequential:
         return [p for layer in self._layers() for p in layer.params()]
 
     def _arrays(self):
-        """Every parameter and batch-norm running statistic by name, as the
-        arrays the model computes with."""
+        """Every parameter, then every layer buffer (the batch-norm running
+        statistics), by name, as the arrays the model computes with."""
         arrays = {p.name: p.data for p in self.params()}
         for layer in self._layers():
-            if isinstance(layer, BatchNorm2d):
-                arrays.update(layer.buffers())
+            arrays.update(layer.buffers())
         return arrays
 
     def state(self) -> dict:
         """A copy of the model's trained state: each parameter and each
-        batch-norm running statistic by name, as checkpoints store it."""
+        layer buffer by name, as checkpoints store it."""
         return {name: data.copy() for name, data in self._arrays().items()}
 
     def load_state(self, entries: dict) -> None:
@@ -194,14 +193,14 @@ class CNNMoE(Sequential):
 
     name = "cnn_moe"
 
-    # (out_ch, pool, global_pool)
+    _KERNEL = (3, 3)
     _SCHEDULE = (
-        (64, (2, 2), False),
-        (128, (2, 2), False),
-        (256, None, False),
-        (256, (2, 2), False),
-        (512, None, False),
-        (512, None, True),
+        (64, partial(AvgPool2d, 2, 2)),
+        (128, partial(AvgPool2d, 2, 2)),
+        (256, None),
+        (256, partial(AvgPool2d, 2, 2)),
+        (512, None),
+        (512, partial(Mean, (1, 2))),  # global average pooling
     )
 
     def __init__(
@@ -213,18 +212,7 @@ class CNNMoE(Sequential):
         seed=0,
         dtype=np.float32,
     ):
-        if len(dropout_rates) != 6:
-            raise ParameterError("CNN-MoE takes six dropout rates")
-        init_rng, self.drop_rng = _spawn_rngs(seed, 2)
-        self.patch_width = patch_width
-        self.blocks = []
-        in_ch = 1
-        for i, ((out_ch, pool, gp), p) in enumerate(zip(self._SCHEDULE, dropout_rates), start=1):
-            self.blocks.append(
-                _conv_block(in_ch, out_ch, (3, 3), pool, p, init_rng, self.drop_rng,
-                            f"block{i}", dtype, global_pool=gp)
-            )
-            in_ch = out_ch
+        init_rng = self._build_blocks(patch_width, dropout_rates, seed, dtype)
         self.moe = MoELayer(512, n_classes, n_experts, init_rng, dtype=dtype)
         self.head = (self.moe,)
 
@@ -235,7 +223,9 @@ class CRNN(Sequential):
 
     name = "crnn"
 
-    _SCHEDULE = ((64, (2, 1)), (128, (2, 1)), (256, (4, 1)), (512, (4, 1)))
+    _KERNEL = (4, 1)
+    _SCHEDULE = ((64, partial(AvgPool2d, 2, 1)), (128, partial(AvgPool2d, 2, 1)),
+                 (256, partial(AvgPool2d, 4, 1)), (512, partial(AvgPool2d, 4, 1)))
 
     def __init__(
         self,
@@ -246,21 +236,10 @@ class CRNN(Sequential):
         seed=0,
         dtype=np.float32,
     ):
-        if len(dropout_rates) != 6:
-            raise ParameterError("C-RNN takes six dropout rates")
-        init_rng, self.drop_rng = _spawn_rngs(seed, 2)
-        self.patch_width = patch_width
-        self.blocks = []
-        in_ch = 1
-        for i, ((out_ch, pool), p) in enumerate(zip(self._SCHEDULE, dropout_rates[:4]), start=1):
-            self.blocks.append(
-                _conv_block(in_ch, out_ch, (4, 1), pool, p, init_rng, self.drop_rng,
-                            f"block{i}", dtype)
-            )
-            in_ch = out_ch
-        self.drop_freq = _DropFreq()
+        init_rng = self._build_blocks(patch_width, dropout_rates, seed, dtype)
+        self.drop_freq = Mean(1)  # the one band the conv front leaves
         self.gru = BiGRU(512, gru_hidden, init_rng, dtype=dtype)
-        self.feat_pool = FeatureAveragePool()
+        self.feat_pool = Mean(2)
         self.fc1 = Dense(2 * patch_width, 1024, init_rng, name="fc1", dtype=dtype)
         self.relu1 = ReLU(name="relu1")
         self.drop1 = Dropout(dropout_rates[4], self.drop_rng)

@@ -10,8 +10,8 @@ from .layers import (
     Conv2d,
     Dense,
     Dropout,
-    FeatureAveragePool,
-    GlobalAvgPool,
+    Layer,
+    Mean,
     Param,
     ReLU,
     softmax,
@@ -30,8 +30,8 @@ __all__ = [
     "Conv2d",
     "Dense",
     "Dropout",
-    "FeatureAveragePool",
-    "GlobalAvgPool",
+    "Layer",
+    "Mean",
     "Param",
     "ReLU",
     "TrainConfig",

@@ -136,8 +136,8 @@ def standard_suite(step=1e-5, seed=0):
     run("relu", ly.ReLU(), rng.standard_normal((4, 6)) + np.sign(rng.standard_normal((4, 6))) * 0.2, 1e-4)
     run("avgpool_2x2", ly.AvgPool2d(2, 2), x4, 1e-8)
     run("avgpool_4x1", ly.AvgPool2d(4, 1), x4, 1e-8)
-    run("global_avgpool", ly.GlobalAvgPool(), x4, 1e-8)
-    run("feature_avgpool", ly.FeatureAveragePool(), rng.standard_normal((2, 5, 7)), 1e-8)
+    run("global_avgpool", ly.Mean((1, 2)), x4, 1e-8)
+    run("feature_avgpool", ly.Mean(2), rng.standard_normal((2, 5, 7)), 1e-8)
     run("dropout_off", ly.Dropout(0.0, rng), rng.standard_normal((4, 6)), 1e-8)
     run("bigru", BiGRU(4, 3, rng, dtype=f64), rng.standard_normal((2, 5, 4)), 1e-4)
     run("softmax_ce", _Chain(ly.Dense(6, 4, rng, dtype=f64), softmax=True),

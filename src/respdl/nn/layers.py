@@ -1,10 +1,12 @@
 """Differentiable layers with explicit forward/backward passes.
 
-Every layer exposes ``forward(x, train=False)``, ``backward(dout) -> dx``
-and ``params() -> list[Param]``. Gradients accumulate into ``Param.grad``;
-the training loop zeroes them between steps. Convolutions use stride 1 and
-same-padding (extra padding on the trailing side for even kernels), so
-spatial dims change only at pooling layers.
+Every layer is a ``Layer``: it exposes ``forward(x, train=False)``,
+``backward(dout) -> dx``, ``params() -> list[Param]`` and ``buffers() ->
+{name: array}``, its non-trainable state (batch normalization's running
+statistics), both empty unless the layer has some. Gradients accumulate
+into ``Param.grad``; the training loop zeroes them between steps.
+Convolutions use stride 1 and same-padding (extra padding on the trailing
+side for even kernels), so spatial dims change only at pooling layers.
 
 The two costly layers keep their passes over full activation tensors few:
 a convolution is one GEMM over an im2col matrix forward, and two GEMMs
@@ -21,14 +23,15 @@ clears its cache: inference keeps none, and after a training step a layer
 holds only its parameters, their gradients and (batch normalization) its
 running statistics. A ``backward`` with no training forward before it
 raises ``ParameterError`` naming the layer. Non-overlapping average
-pooling keeps nothing, the global and feature average pools keep only an
-input shape, and dropout outside training is the identity, backward too;
-none of them checks.
+pooling keeps nothing, ``Mean`` (global and per-frame feature averaging)
+keeps only an input shape and count, and dropout outside training is the
+identity, backward too; none of them checks.
 """
 
 from __future__ import annotations
 
 import logging
+import math
 
 import numpy as np
 
@@ -95,7 +98,18 @@ def softmax(x: np.ndarray, axis: int = -1) -> np.ndarray:
     return e / e.sum(axis=axis, keepdims=True)
 
 
-class Dense:
+class Layer:
+    """The protocol every layer shares besides ``forward`` and ``backward``:
+    its trainable parameters and its buffers by name, none by default."""
+
+    def params(self) -> list[Param]:
+        return []
+
+    def buffers(self) -> dict[str, np.ndarray]:
+        return {}
+
+
+class Dense(Layer):
     """Affine map x @ W + b with Xavier-uniform init."""
 
     def __init__(self, in_dim, out_dim, rng, name="dense", dtype=np.float32):
@@ -129,7 +143,7 @@ def _tap_slices(offset, size):
     return slice(lo, hi), slice(lo + offset, hi + offset)
 
 
-class Conv2d:
+class Conv2d(Layer):
     """Stride-1 same-padded 2-D convolution via im2col.
 
     Activations are channels-last (B, H, W, C) so the im2col copy moves
@@ -200,7 +214,7 @@ class Conv2d:
         return [self.w, self.b]
 
 
-class BatchNorm2d:
+class BatchNorm2d(Layer):
     """Per-channel batch normalization over (B, H, W) of channels-last input.
 
     Both modes apply one per-channel affine map, ``x * scale + shift``,
@@ -288,7 +302,7 @@ class BatchNorm2d:
         }
 
 
-class ReLU:
+class ReLU(Layer):
     def __init__(self, name="relu"):
         self.name = name
         self._out = None
@@ -301,11 +315,8 @@ class ReLU:
     def backward(self, dout):
         return dout * (take_cache(self, "_out") > 0)
 
-    def params(self):
-        return []
 
-
-class AvgPool2d:
+class AvgPool2d(Layer):
     """Non-overlapping average pooling over channels-last input; spatial
     dims must divide the kernel."""
 
@@ -325,46 +336,29 @@ class AvgPool2d:
         up = np.repeat(np.repeat(dout, self.kh, axis=1), self.kw, axis=2)
         return up * scale
 
-    def params(self):
-        return []
 
+class Mean(Layer):
+    """Mean over ``axes``, which the output drops: ``Mean((1, 2))`` pools
+    (B, H, W, C) globally to (B, C), ``Mean(2)`` averages each frame's
+    features, (B, T, F) -> (B, T), and ``Mean(1)`` drops a size-1 axis.
+    Over size-1 axes the mean is the input itself, so both passes return a
+    view of their argument rather than a copy."""
 
-class GlobalAvgPool:
-    """(B, H, W, C) -> (B, C) spatial mean."""
-
-    def __init__(self):
-        self._shape = None
-
-    def forward(self, x, train=False):
-        self._shape = x.shape
-        return x.mean(axis=(1, 2))
-
-    def backward(self, dout):
-        b, h, w, c = self._shape
-        return np.broadcast_to(dout[:, None, None, :], self._shape) / (h * w)
-
-    def params(self):
-        return []
-
-
-class FeatureAveragePool:
-    """(B, T, F) -> (B, T): mean over the feature axis, one value per frame."""
-
-    def __init__(self):
-        self._shape = None
+    def __init__(self, axes):
+        self.axes = tuple(np.atleast_1d(axes).tolist())
+        self._shape = self._n = None
 
     def forward(self, x, train=False):
-        self._shape = x.shape
-        return x.mean(axis=2)
+        # a Python int count: a numpy integer divisor would promote float32 to float64
+        self._shape, self._n = x.shape, math.prod(x.shape[a] for a in self.axes)
+        return x.squeeze(self.axes) if self._n == 1 else x.mean(axis=self.axes)
 
     def backward(self, dout):
-        return np.broadcast_to(dout[:, :, None], self._shape) / self._shape[2]
-
-    def params(self):
-        return []
+        d = np.expand_dims(dout, self.axes)
+        return d if self._n == 1 else np.broadcast_to(d, self._shape) / self._n
 
 
-class Dropout:
+class Dropout(Layer):
     """Inverted dropout: active only in train mode, scaled by 1/(1-p).
 
     A training pass keeps a boolean keep-mask and the scale
@@ -400,6 +394,3 @@ class Dropout:
         dx = dout * mask
         dx *= self._scale
         return dx
-
-    def params(self):
-        return []

@@ -17,7 +17,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..errors import ShapeError
-from .layers import Param, orthogonal, take_cache, xavier_uniform
+from .layers import Layer, Param, orthogonal, take_cache, xavier_uniform
 
 
 def sigmoid(x, out=None):
@@ -30,7 +30,7 @@ def sigmoid(x, out=None):
     return out
 
 
-class _GRUDirection:
+class _GRUDirection(Layer):
     """One GRU direction: update/reset gates, tanh candidate.
 
     Gate layout inside Wx/Wh/b is [update z | reset r | candidate c]; the
@@ -130,7 +130,7 @@ class _GRUDirection:
         return [self.wx, self.wh, self.b]
 
 
-class BiGRU:
+class BiGRU(Layer):
     """(B, T, D) -> (B, 2T, H) bidirectional GRU."""
 
     def __init__(self, in_dim, hidden, rng, name="bigru", dtype=np.float32):

@@ -99,6 +99,22 @@ class TestExitCodes:
             "train", "--audio-dir", str(missing), "--epochs", "1"
         ) == 2
 
+    @pytest.mark.parametrize("flag, value", [
+        ("--early-stop-patience", "-3"),
+        ("--mixup-alpha", "0"),
+        ("--moe-experts", "0"),
+        ("--gru-hidden", "0"),
+    ])
+    def test_bad_config_value_is_usage_error_before_any_run(self, cli_dataset, tmp_path,
+                                                            capsys, flag, value):
+        code = run_cli("train", "--audio-dir", str(cli_dataset),
+                       "--diagnosis-file", str(cli_dataset / "diagnosis.csv"),
+                       "--early-stop-acc", "0.1",
+                       "--out-dir", str(tmp_path), "--fold", "0", flag, value)
+        assert code == 1
+        assert flag[2:].replace("-", "_") in capsys.readouterr().err
+        assert not list(tmp_path.glob("run_*"))
+
     def test_too_few_entities_is_data_error(self, tmp_path):
         ingest.write_wav(tmp_path / "101_x.wav", np.zeros(2000), 16000)
         (tmp_path / "101_x.txt").write_text("0.0 0.1 0 0\n")
@@ -593,3 +609,20 @@ class TestIngestCommand:
         trained = tmp_path / "train" / ingested.name  # out_dir is not part of the run hash
         for name in ("manifest.txt", "folds.csv", "config.txt"):
             assert (ingested / name).read_bytes() == (trained / name).read_bytes()
+
+    def test_a_cycle_beyond_the_audio_stays_in_both_folds_files(self, cli_dataset, tmp_path,
+                                                                 caplog):
+        data = tmp_path / "data"
+        shutil.copytree(cli_dataset, data)
+        with open(data / "100_syn000.txt", "a") as f:
+            f.write("9.0 9.5 0 0\n")  # onset past the end of the recording
+        flags = ("--audio-dir", str(data), "--diagnosis-file", str(data / "diagnosis.csv"),
+                 "--min-cycle-seconds", "0.5", "--patch-width", "32", "--mixup", "false",
+                 "--epochs", "1", "--batch-size", "8", "--lr", "1e-3")
+        assert run_cli("ingest", *flags, "--out-dir", str(tmp_path / "ingest")) == 0
+        assert run_cli("train", *flags, "--out-dir", str(tmp_path / "train"), "--fold", "0") == 0
+        assert "100_syn000_c01: onset 9.00s beyond end of audio, skipped" in caplog.text
+        ingested, = (tmp_path / "ingest").glob("run_*")
+        folds = (ingested / "folds.csv").read_bytes()
+        assert b"100_syn000_c01," in folds
+        assert (tmp_path / "train" / ingested.name / "folds.csv").read_bytes() == folds

@@ -7,7 +7,7 @@ from respdl import models
 from respdl.augment import MixupConfig
 from respdl.errors import ParameterError, ShapeError
 from respdl.harness import evaluate_entities, train_loop
-from respdl.nn import TrainConfig, softmax
+from respdl.nn import Layer, TrainConfig, softmax
 
 from conftest import forward_shapes
 
@@ -111,6 +111,19 @@ class TestModelOutputs:
                 assert p.shape == (x.shape[0], 4)
                 np.testing.assert_allclose(p.sum(axis=1), 1.0, atol=1e-5)
                 assert np.all(p >= 0)
+
+
+class TestLayerProtocol:
+    @pytest.mark.parametrize("build", [
+        lambda: models.CNNMoE(4, patch_width=32, seed=3),
+        lambda: models.CRNN(4, patch_width=32, gru_hidden=16, seed=3),
+    ], ids=["cnn_moe", "crnn"])
+    def test_state_is_the_params_then_the_batchnorm_running_stats(self, build):
+        model = build()
+        assert all(isinstance(layer, Layer) for layer in model._layers())
+        running = [f"block{i}.{bn}.{stat}" for i in range(1, len(model.blocks) + 1)
+                   for bn in ("bn_in", "bn_out") for stat in ("running_mean", "running_var")]
+        assert list(model.state()) == [p.name for p in model.params()] + running
 
 
 def _all_layers(model):

@@ -15,6 +15,7 @@ from respdl.nn import (
     Conv2d,
     Dense,
     Dropout,
+    Mean,
     Param,
     ReLU,
     TrainConfig,
@@ -117,6 +118,31 @@ class TestLayerGradients:
 
         report = grad_check(Broken(5, 4, rng, dtype=F64), rng.standard_normal((3, 5)))
         assert report["max_rel_err"] > 0.2
+
+
+class TestMean:
+    """``Mean`` against the formulas of the three averaging layers it
+    replaced: global pooling, per-frame feature pooling and the drop of the
+    one frequency band the C-RNN front leaves."""
+
+    @pytest.mark.parametrize("axes, shape, forward, backward", [
+        ((1, 2), (2, 3, 5, 4), lambda x: x.mean(axis=(1, 2)),
+         lambda d, s: np.broadcast_to(d[:, None, None, :], s) / (s[1] * s[2])),
+        (2, (2, 6, 7), lambda x: x.mean(axis=2),
+         lambda d, s: np.broadcast_to(d[:, :, None], s) / s[2]),
+        (1, (2, 1, 6, 4), lambda x: x[:, 0], lambda d, s: d[:, None]),
+    ], ids=["global_pool", "feature_pool", "drop_band"])
+    @pytest.mark.parametrize("dtype", [np.float32, F64])
+    def test_matches_the_replaced_layers_bit_for_bit(self, rng, axes, shape, forward,
+                                                     backward, dtype):
+        x = rng.standard_normal(shape).astype(dtype)
+        layer = Mean(axes)
+        out = layer.forward(x, train=True)
+        dout = rng.standard_normal(out.shape).astype(dtype)
+        dx = layer.backward(dout)
+        for got, want in ((out, forward(x)), (dx, backward(dout, shape))):
+            assert got.dtype == dtype and got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
 
 
 class TestSoftmax:
