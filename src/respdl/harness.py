@@ -642,13 +642,12 @@ def _mean_metrics(per_fold: list[Metrics]) -> Metrics:
     return Metrics.of(spec, sen, np.sum([np.asarray(m.confusion) for m in per_fold], axis=0))
 
 
-# Peak resident memory of one training worker, fit to measured peaks of
-# single-model processes (two epochs of two training steps, each epoch
-# followed by a 64-patch inference): 1.31 GB (CNN-MoE) and 1.49 GB (C-RNN)
-# at batch 50 x width 128, 0.30 GB at the desk batch 8 x width 32 (C-RNN,
-# GRU 64). The worker's fold patches (float32, 64 bands) come on top.
-_WORKER_BASE_MB = 260.0
-_WORKER_MB_PER_BATCH_FRAME = {"cnn_moe": 0.17, "crnn": 0.20}
+# Peak resident memory of one training worker, ~5% above the single-model
+# peaks of tests/test_harness.py's WORKER_PEAK_PROTOCOL: 0.82 GB (CNN-MoE)
+# and 1.13 GB (C-RNN) at batch 50 x width 128, 0.26 GB at the desk batch 8
+# x width 32. The worker's fold patches (float32, 64 bands) come on top.
+_WORKER_BASE_MB = 245.0
+_WORKER_MB_PER_BATCH_FRAME = {"cnn_moe": 0.096, "crnn": 0.147}
 
 
 def worker_mb(config: ExperimentConfig, features: dict[str, EntityFeatures]) -> float:

@@ -9,13 +9,13 @@ Convolutions use stride 1 and same-padding (extra padding on the trailing
 side for even kernels), so spatial dims change only at pooling layers.
 
 The two costly layers keep their passes over full activation tensors few:
-a convolution is one GEMM over an im2col matrix forward, and two GEMMs
-backward (weight gradient, and the input gradient as col2im: one GEMM into
-per-tap columns, then one shifted add per kernel tap); batch normalization
-is one per-channel affine map forward, and backward two per-channel
-reductions plus one per-channel affine combination of the output gradient
-and the re-centered input, built in place; it caches its input rather than
-a normalized copy.
+a convolution is one GEMM over an im2col matrix forward; backward rebuilds
+the matrix from the padded input a training forward kept, then takes two
+GEMMs (weight gradient, and input gradient as col2im: per-tap columns,
+then one shifted add per tap); batch normalization is one per-channel
+affine map forward, and backward two per-channel reductions plus one
+per-channel affine combination of the output gradient and the re-centered
+input, built in place; it caches its input rather than a normalized copy.
 
 A layer keeps the activations its ``backward`` reads only from a
 ``forward(x, train=True)`` until that ``backward``, which takes them and
@@ -152,7 +152,8 @@ class Conv2d(Layer):
     dims get the extra padding on the trailing side. The input gradient is
     col2im (Caffe, Jia et al. 2014, arXiv:1408.5093): its GEMM is
     kh*kw*in_ch wide, where an im2col of the output gradient would be
-    kh*kw*out_ch wide.
+    kh*kw*out_ch wide. Training keeps the padded input, not the im2col
+    matrix, and backward rebuilds the matrix from it.
     """
 
     def __init__(self, in_ch, out_ch, kh, kw, rng, name="conv", dtype=np.float32):
@@ -164,7 +165,7 @@ class Conv2d(Layer):
         self.pad_h = ((kh - 1) // 2, kh - 1 - (kh - 1) // 2)
         self.pad_w = ((kw - 1) // 2, kw - 1 - (kw - 1) // 2)
         self.name = name
-        self._cols = None
+        self._xp = None
         self._shape = None
 
     def _im2col(self, xp, h, w):
@@ -184,14 +185,13 @@ class Conv2d(Layer):
             )
         b, h, w, _ = x.shape
         xp = np.pad(x, ((0, 0), self.pad_h, self.pad_w, (0, 0)))
-        cols = self._im2col(xp, h, w)
-        out = cols @ self._wmat().T + self.b.data
-        self._cols, self._shape = (cols if train else None), (b, h, w)
+        out = self._im2col(xp, h, w) @ self._wmat().T + self.b.data
+        self._xp, self._shape = (xp if train else None), (b, h, w)
         return out.reshape(b, h, w, self.out_ch)
 
     def backward(self, dout):
-        cols = take_cache(self, "_cols")
         b, h, w = self._shape
+        cols = self._im2col(take_cache(self, "_xp"), h, w)
         dmat = dout.reshape(b * h * w, self.out_ch)
         dw = (dmat.T @ cols).reshape(self.out_ch, self.kh, self.kw, self.in_ch)
         del cols  # its last reader: free it before dcols, as large, is made

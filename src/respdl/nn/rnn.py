@@ -40,8 +40,8 @@ class _GRUDirection(Layer):
     time-major so each step reads a contiguous (B, 3H) slab. Each step then
     takes one GEMM for the z and r gates together and one for the
     candidate, against contiguous copies of the two recurrent weight blocks
-    made once per call. Step caches are (T, B, .) arrays allocated up
-    front and kept only by a training pass; the backward pass fills a
+    made once per call. Training keeps (T, B, .) step caches; inference
+    reuses one (1, B, .) slab of each. The backward pass fills a
     (T, B, 3H) gate-gradient array and computes the weight, bias and input
     gradients from it with one GEMM (or sum) each after the recurrence.
     """
@@ -67,21 +67,24 @@ class _GRUDirection(Layer):
         h = self.hidden
         w_zr, w_c = self._blocks()
         xt = np.ascontiguousarray(x.transpose(1, 0, 2)).reshape(t * b, d)
-        xp = (xt @ self.wx.data + self.b.data).reshape(t, b, 3 * h)
+        xp = (xt @ self.wx.data).reshape(t, b, 3 * h)
+        xp += self.b.data
         states = np.zeros((t + 1, b, h), dtype=x.dtype)  # states[i] feeds step i
-        zr = np.empty((t, b, 2 * h), dtype=x.dtype)
-        rh = np.empty((t, b, h), dtype=x.dtype)
-        cand = np.empty((t, b, h), dtype=x.dtype)
+        # backward reads every step's gates; inference reuses one step's slabs
+        slabs = t if train else 1
+        zr = np.empty((slabs, b, 2 * h), dtype=x.dtype)
+        rh = np.empty((slabs, b, h), dtype=x.dtype)
+        cand = np.empty((slabs, b, h), dtype=x.dtype)
         for i in range(t):
-            state = states[i]
-            gates = zr[i]
+            state, k = states[i], i % slabs
+            gates = zr[k]
             np.matmul(state, w_zr, out=gates)
             gates += xp[i, :, : 2 * h]
             sigmoid(gates, out=gates)
             z, r = gates[:, :h], gates[:, h:]
-            np.multiply(r, state, out=rh[i])
-            c = cand[i]
-            np.matmul(rh[i], w_c, out=c)
+            np.multiply(r, state, out=rh[k])
+            c = cand[k]
+            np.matmul(rh[k], w_c, out=c)
             c += xp[i, :, 2 * h :]
             np.tanh(c, out=c)
             # h_new = (1 - z) * h_prev + z * c

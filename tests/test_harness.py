@@ -3,7 +3,10 @@
 import ctypes
 import logging
 import multiprocessing
+import os
 import re
+import subprocess
+import sys
 import time
 
 import numpy as np
@@ -525,9 +528,20 @@ class TestRunCV:
         cnn_moe = harness.worker_mb(desk_config(model="cnn_moe", **paper), {})
         crnn = harness.worker_mb(desk_config(model="crnn", **paper), {})
         desk = harness.worker_mb(desk_config(model="ensemble"), {})
-        assert 1315 <= cnn_moe <= 1.1 * 1315
-        assert 1493 <= crnn <= 1.1 * 1493
-        assert 299 <= desk <= 1.1 * 299
+        assert 817 <= cnn_moe <= 1.1 * 817
+        assert 1127 <= crnn <= 1.1 * 1127
+        assert 263 <= desk <= 1.1 * 263
+
+    def test_worker_peak_stays_within_its_estimate(self):
+        # one-sided: a layer that caches more, or an estimate below the real
+        # peak, fails it; a machine whose peak is lower does not
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": "1"}  # as in a pool worker
+        run = subprocess.run([sys.executable, "-c", WORKER_PEAK_PROTOCOL, "crnn", "50", "128", "512"],
+                             capture_output=True, text=True, check=True, timeout=600, env=env)
+        peak = float(run.stdout.split()[-1])
+        paper = desk_config(model="crnn", patch_width=128, gru_hidden=512,
+                            train=TrainConfig(batch_size=50))
+        assert peak <= harness.worker_mb(paper, {})
 
     def test_duplicated_fold_mean_equals_each(self, synth_features, synth_folds):
         m = harness._mean_metrics([
@@ -540,6 +554,31 @@ class TestRunCV:
             harness.Metrics(0.9, 0.9, 0.9, [[1, 0], [0, 1]], 2),
         ])
         assert m2.icbhi_score == pytest.approx(0.85)
+
+
+# The protocol harness.worker_mb is fit to, for one member in a fresh
+# process: two epochs of two mixup training steps, each epoch followed by a
+# 64-patch evaluate_entities. argv: model, batch, patch width, GRU hidden.
+# Prints the process's peak RSS in MB.
+WORKER_PEAK_PROTOCOL = """
+import resource, sys
+import numpy as np
+from respdl import harness
+from respdl.augment import MixupConfig
+from respdl.nn import TrainConfig
+name, batch, width, gru = sys.argv[1], *map(int, sys.argv[2:5])
+config = harness.ExperimentConfig(model=name, patch_width=width, gru_hidden=gru,
+                                  train=TrainConfig(epochs=2, batch_size=batch))
+rng = np.random.default_rng(0)
+x = rng.standard_normal((2 * batch, 64, width), dtype=np.float32)
+y = np.eye(4, dtype=np.float32)[rng.integers(0, 4, 2 * batch)]
+groups = {i: rng.standard_normal((4, 64, width), dtype=np.float32) for i in range(16)}
+state = harness.TrainState.start(harness.build_member(config, name), config.train)
+for _ in range(2):
+    harness.run_epoch(state, x, y, config.train, MixupConfig(alpha=0.2, enabled=True))
+    harness.evaluate_entities(state.model, groups)
+print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024)
+"""
 
 
 def _blas_threads(_):

@@ -138,7 +138,7 @@ def _holding_activations(model):
     """Names of the layers that hold an activation for a backward pass."""
     return {getattr(layer, "name", type(layer).__name__)
             for layer in _all_layers(model)
-            for attr in ("_cache", "_cols", "_out", "_x", "_mask")
+            for attr in ("_cache", "_xp", "_out", "_x", "_mask")
             if getattr(layer, attr, None) is not None}
 
 

@@ -2,6 +2,7 @@
 
 import re
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -100,7 +101,7 @@ class TestLayerGradients:
         x = rng.standard_normal((2, 5, 5, 2)).astype(np.float32)
         layer.forward(x, train=True)
         layer.forward(x, train=False)
-        assert layer._cols is None  # the training pass's columns are dropped too
+        assert layer._xp is None  # the training pass's padded input is dropped too
 
     def test_avgpool_constant_preserved(self):
         from respdl.nn import AvgPool2d
@@ -118,6 +119,57 @@ class TestLayerGradients:
 
         report = grad_check(Broken(5, 4, rng, dtype=F64), rng.standard_normal((3, 5)))
         assert report["max_rel_err"] > 0.2
+
+
+def _column_caching_conv_grads(layer, x, dout):
+    """(dW, db, dx) of ``layer`` at ``x`` and output gradient ``dout``, as a
+    convolution that keeps its forward's im2col columns gets them: the same
+    two GEMMs, then each kernel tap's share added back through a padded
+    gradient."""
+    b, h, w, _ = x.shape
+    kh, kw = layer.kh, layer.kw
+    cols = layer._im2col(np.pad(x, ((0, 0), layer.pad_h, layer.pad_w, (0, 0))), h, w)
+    dmat = dout.reshape(b * h * w, layer.out_ch)
+    dw = (dmat.T @ cols).reshape(layer.out_ch, kh, kw, layer.in_ch).transpose(0, 3, 1, 2)
+    dcols = (dmat @ layer._wmat()).reshape(b, h, w, kh, kw, layer.in_ch)
+    dx = np.zeros_like(x)
+    for i in range(kh):
+        for j in range(kw):
+            xp_rows, xp_cols = slice(i, i + h), slice(j, j + w)
+            dxp = np.zeros((b, h + kh - 1, w + kw - 1, layer.in_ch), dtype=x.dtype)
+            dxp[:, xp_rows, xp_cols] = dcols[:, :, :, i, j]
+            dx += dxp[:, layer.pad_h[0]:layer.pad_h[0] + h, layer.pad_w[0]:layer.pad_w[0] + w]
+    return dw, dmat.sum(axis=0), dx
+
+
+CONV_KERNELS = pytest.mark.parametrize("kh, kw", [(3, 3), (4, 1)], ids=["3x3", "4x1"])
+
+
+class TestConvCache:
+    @CONV_KERNELS
+    def test_training_forward_keeps_the_padded_input(self, rng, kh, kw):
+        layer = Conv2d(3, 5, kh, kw, rng)
+        x = rng.standard_normal((2, 8, 6, 3)).astype(np.float32)
+        layer.forward(x, train=True)
+        assert layer._xp.shape == (2, 8 + kh - 1, 6 + kw - 1, 3)
+        np.testing.assert_array_equal(
+            layer._xp[:, layer.pad_h[0]:layer.pad_h[0] + 8, layer.pad_w[0]:layer.pad_w[0] + 6], x)
+
+    @CONV_KERNELS
+    def test_backward_matches_a_column_caching_backward(self, rng, kh, kw):
+        layer = Conv2d(3, 5, kh, kw, rng)
+        layer.b.data[:] = rng.standard_normal(5)
+        x = rng.standard_normal((2, 8, 6, 3)).astype(np.float32)
+        dout = rng.standard_normal((2, 8, 6, 5)).astype(np.float32)
+        layer.forward(x, train=True)
+        col_bytes = 2 * 8 * 6 * kh * kw * 3 * 4
+        held = [v for v in vars(layer).values() if isinstance(v, np.ndarray)]
+        assert all(v.nbytes < col_bytes for v in held)  # no im2col matrix is kept
+        dx = layer.backward(dout)
+        dw, db, want_dx = _column_caching_conv_grads(layer, x, dout)
+        np.testing.assert_array_equal(layer.w.grad, dw)
+        np.testing.assert_array_equal(layer.b.grad, db)
+        np.testing.assert_array_equal(dx, want_dx)
 
 
 class TestMean:
@@ -383,6 +435,26 @@ class TestBiGRU:
         gru = BiGRU(4, 3, rng, dtype=F64)
         out = gru.forward(np.zeros((2, 6, 4)))
         np.testing.assert_array_equal(out, 0.0)
+
+    def test_inference_equals_a_training_forward_bit_for_bit(self, rng):
+        gru = BiGRU(6, 5, rng)
+        x = rng.standard_normal((3, 9, 6)).astype(np.float32)
+        assert np.array_equal(gru.forward(x, train=False), gru.forward(x, train=True))
+
+    def test_inference_allocates_one_steps_gates(self, rng):
+        # one direction's input projection (T, B, 3H), biased in place, its
+        # states and the other direction's output come to about 3.4x the
+        # (B, 2T, H) output; whole-sequence gate arrays (T, B, 4H) would add
+        # 2x more, a biased copy of the projection 1.5x
+        gru = BiGRU(32, 32, rng)
+        x = rng.standard_normal((8, 32, 32)).astype(np.float32)
+        tracemalloc.start()
+        try:
+            out = gru.forward(x, train=False)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * out.nbytes
 
     def test_shape_error(self, rng):
         gru = BiGRU(4, 3, rng, dtype=F64)
