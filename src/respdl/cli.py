@@ -18,6 +18,7 @@ comments; unknown keys are rejected. Exit codes: 0 success, 1 usage error,
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 from dataclasses import replace
@@ -79,13 +80,17 @@ class UsageError(Exception):
 
 
 def _values_of(kind):
-    """An argparse type: comma-separated values, each converted with ``kind``."""
+    """An argparse type: comma-separated finite positive values, each
+    converted with ``kind``."""
     def parse(text):
         try:
-            return [kind(value) for value in text.split(",")]
+            values = [kind(value) for value in text.split(",")]
+            if all(0 < value < math.inf for value in values):
+                return values
         except ValueError:
-            raise argparse.ArgumentTypeError(
-                f"expected comma-separated {kind.__name__} values, got {text!r}") from None
+            pass
+        raise argparse.ArgumentTypeError(
+            f"expected comma-separated finite positive {kind.__name__} values, got {text!r}")
     return parse
 
 

@@ -27,6 +27,7 @@ from __future__ import annotations
 import ctypes
 import hashlib
 import logging
+import math
 import multiprocessing
 import os
 from collections.abc import Callable
@@ -36,7 +37,7 @@ from pathlib import Path
 import numpy as np
 
 from . import dsp, ingest, models
-from .augment import LabeledBatch, MixupConfig, duplicate_to_min, mixup_batch
+from .augment import MixupConfig, duplicate_to_min, mixup_batch
 from .errors import FormatError, NumericalError, ParameterError, ShapeError
 from .nn import (
     Adam,
@@ -102,8 +103,12 @@ class ExperimentConfig:
             )
         if self.select not in SELECT_CHOICES:
             raise ParameterError(f"select must be one of {SELECT_CHOICES}")
+        if self.min_cycle_seconds <= 0:
+            raise ParameterError("min_cycle_seconds must be > 0")
         if self.k < 2:
             raise ParameterError("k must be >= 2")
+        if self.fold_seed < 0:
+            raise ParameterError("fold_seed must be >= 0")
         if self.jobs < 1:
             raise ParameterError("jobs must be >= 1")
         if self.early_stop_patience < 1:
@@ -142,9 +147,12 @@ def _parse_value(key: str, text: str, target_type):
             return False
         raise ParameterError(f"{key}: expected a boolean, got {text!r}")
     try:
-        return target_type(text)
+        value = target_type(text)
     except ValueError:
         raise ParameterError(f"{key}: expected {target_type.__name__}, got {text!r}") from None
+    if target_type is float and not math.isfinite(value):
+        raise ParameterError(f"{key}: expected a finite number, got {text!r}")
+    return value
 
 
 def config_from_dict(values: dict[str, str], base: ExperimentConfig | None = None) -> ExperimentConfig:
@@ -416,11 +424,9 @@ def run_epoch(state: TrainState, x, y, cfg: TrainConfig,
     for start in range(0, len(x), cfg.batch_size):
         idx = perm[start : start + cfg.batch_size]
         xb, yb = x[idx], y[idx]
+        xb_in, yb_in = xb, yb
         if mixup_cfg is not None and mixup_cfg.enabled:
-            batch = mixup_batch(LabeledBatch(xb, yb), mixup_cfg, state.mix_rng)
-            xb_in, yb_in = batch.patches, batch.targets
-        else:
-            xb_in, yb_in = xb, yb
+            xb_in, yb_in = mixup_batch(xb, yb, mixup_cfg, state.mix_rng)
         probs = model.forward(xb_in, train=True)
         loss, dlogits = loss_ce_l2(probs, yb_in, params, cfg.l2_lambda)
         state.adam.zero_grad()

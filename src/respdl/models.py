@@ -70,7 +70,6 @@ class MoELayer(Layer):
         )
         self.gate = Dense(in_dim, n_experts, rng, name=f"{name}.gate", dtype=dtype)
         self.name = name
-        self._cache = None
 
     def forward(self, x, train=False):
         e_pre = np.einsum("bi,jin->bjn", x, self.expert_w.data) + self.expert_b.data

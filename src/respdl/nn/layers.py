@@ -17,15 +17,16 @@ affine map forward, and backward two per-channel reductions plus one
 per-channel affine combination of the output gradient and the re-centered
 input, built in place; it caches its input rather than a normalized copy.
 
-A layer keeps the activations its ``backward`` reads only from a
-``forward(x, train=True)`` until that ``backward``, which takes them and
-clears its cache: inference keeps none, and after a training step a layer
-holds only its parameters, their gradients and (batch normalization) its
-running statistics. A ``backward`` with no training forward before it
-raises ``ParameterError`` naming the layer. Non-overlapping average
-pooling keeps nothing, ``Mean`` (global and per-frame feature averaging)
-keeps only an input shape and count, and dropout outside training is the
-identity, backward too; none of them checks.
+What a layer's ``backward`` reads lives in one attribute, ``_cache``: a
+``forward(x, train=True)`` stores it there, an inference forward stores
+``None``, and ``backward`` takes it with ``take_cache``, which clears it.
+So inference keeps nothing, and after a training step a layer holds only
+its parameters, their gradients and (batch normalization) its running
+statistics. A ``backward`` with no training forward before it raises
+``ParameterError`` naming the layer. There are two exceptions: dropout
+that drops nothing (inference, or rate 0) keeps nothing and is the
+identity both ways, and non-overlapping average pooling keeps nothing,
+as its backward needs only the gradient.
 """
 
 from __future__ import annotations
@@ -79,15 +80,13 @@ def orthogonal(rng, shape, dtype):
     return q.astype(dtype)
 
 
-def take_cache(layer, attr="_cache"):
-    """Return the cache a training forward left in ``layer.<attr>`` and
+def take_cache(layer):
+    """Return the cache a training forward left in ``layer._cache`` and
     clear it, so it lives only until the backward that reads it."""
-    cache = getattr(layer, attr)
+    cache, layer._cache = layer._cache, None
     if cache is None:
-        raise ParameterError(
-            f"{layer.name}: backward needs a forward(x, train=True) before it"
-        )
-    setattr(layer, attr, None)
+        name = getattr(layer, "name", type(layer).__name__)
+        raise ParameterError(f"{name}: backward needs a forward(x, train=True) before it")
     return cache
 
 
@@ -100,7 +99,10 @@ def softmax(x: np.ndarray, axis: int = -1) -> np.ndarray:
 
 class Layer:
     """The protocol every layer shares besides ``forward`` and ``backward``:
-    its trainable parameters and its buffers by name, none by default."""
+    its trainable parameters and its buffers by name, none by default, and
+    the ``_cache`` a training forward leaves for the backward."""
+
+    _cache = None
 
     def params(self) -> list[Param]:
         return []
@@ -116,18 +118,17 @@ class Dense(Layer):
         self.w = Param(f"{name}.W", xavier_uniform(rng, (in_dim, out_dim), dtype))
         self.b = Param(f"{name}.b", np.zeros(out_dim, dtype=dtype), decay=False)
         self.name = name
-        self._x = None
 
     def forward(self, x, train=False):
         if x.shape[-1] != self.w.shape[0]:
             raise ShapeError(
                 f"{self.w.name}: expected {self.w.shape[0]} inputs, got {x.shape[-1]}"
             )
-        self._x = x if train else None
+        self._cache = x if train else None
         return x @ self.w.data + self.b.data
 
     def backward(self, dout):
-        self.w.grad += take_cache(self, "_x").T @ dout
+        self.w.grad += take_cache(self).T @ dout
         self.b.grad += dout.sum(axis=0)
         return dout @ self.w.data.T
 
@@ -165,8 +166,6 @@ class Conv2d(Layer):
         self.pad_h = ((kh - 1) // 2, kh - 1 - (kh - 1) // 2)
         self.pad_w = ((kw - 1) // 2, kw - 1 - (kw - 1) // 2)
         self.name = name
-        self._xp = None
-        self._shape = None
 
     def _im2col(self, xp, h, w):
         # rows are spatial positions, columns flatten (kh, kw, channels)
@@ -186,12 +185,13 @@ class Conv2d(Layer):
         b, h, w, _ = x.shape
         xp = np.pad(x, ((0, 0), self.pad_h, self.pad_w, (0, 0)))
         out = self._im2col(xp, h, w) @ self._wmat().T + self.b.data
-        self._xp, self._shape = (xp if train else None), (b, h, w)
+        self._cache = (xp, (b, h, w)) if train else None
         return out.reshape(b, h, w, self.out_ch)
 
     def backward(self, dout):
-        b, h, w = self._shape
-        cols = self._im2col(take_cache(self, "_xp"), h, w)
+        xp, (b, h, w) = take_cache(self)
+        cols = self._im2col(xp, h, w)
+        del xp  # only the columns are read from here on: free it before the GEMMs
         dmat = dout.reshape(b * h * w, self.out_ch)
         dw = (dmat.T @ cols).reshape(self.out_ch, self.kh, self.kw, self.in_ch)
         del cols  # its last reader: free it before dcols, as large, is made
@@ -224,13 +224,14 @@ class BatchNorm2d(Layer):
     statistics with momentum 0.9; inference uses the running statistics.
     Only train mode has a backward pass. Its cache holds the input itself,
     not a normalized copy: the backward pass re-centers it, takes two
-    per-channel reductions and turns the centered copy in place into dx, a per-channel affine combination of it
-    and the output gradient. Running stats are buffers, not trainable
-    parameters, updated in place; inference warns while they still hold
-    their initial zero mean and unit variance.
+    per-channel reductions and turns the centered copy in place into dx,
+    a per-channel affine combination of it and the output gradient.
+    Running stats are buffers, not trainable parameters, updated in place;
+    inference warns while they still hold their initial zero mean and unit
+    variance.
     """
 
-    def __init__(self, channels, rng=None, name="bn", eps=1e-5, momentum=0.9, dtype=np.float32):
+    def __init__(self, channels, name="bn", eps=1e-5, momentum=0.9, dtype=np.float32):
         self.name = name
         self.gamma = Param(f"{name}.gamma", np.ones(channels, dtype=dtype), decay=False)
         self.beta = Param(f"{name}.beta", np.zeros(channels, dtype=dtype), decay=False)
@@ -238,7 +239,6 @@ class BatchNorm2d(Layer):
         self.running_var = np.ones(channels, dtype=dtype)
         self.eps = eps
         self.momentum = momentum
-        self._cache = None
 
     def forward(self, x, train=False):
         c = self.gamma.data.size
@@ -305,15 +305,14 @@ class BatchNorm2d(Layer):
 class ReLU(Layer):
     def __init__(self, name="relu"):
         self.name = name
-        self._out = None
 
     def forward(self, x, train=False):
         out = np.maximum(x, 0.0)
-        self._out = out if train else None
+        self._cache = out if train else None
         return out
 
     def backward(self, dout):
-        return dout * (take_cache(self, "_out") > 0)
+        return dout * (take_cache(self) > 0)
 
 
 class AvgPool2d(Layer):
@@ -346,24 +345,26 @@ class Mean(Layer):
 
     def __init__(self, axes):
         self.axes = tuple(np.atleast_1d(axes).tolist())
-        self._shape = self._n = None
 
     def forward(self, x, train=False):
         # a Python int count: a numpy integer divisor would promote float32 to float64
-        self._shape, self._n = x.shape, math.prod(x.shape[a] for a in self.axes)
-        return x.squeeze(self.axes) if self._n == 1 else x.mean(axis=self.axes)
+        n = math.prod(x.shape[a] for a in self.axes)
+        self._cache = (x.shape, n) if train else None
+        return x.squeeze(self.axes) if n == 1 else x.mean(axis=self.axes)
 
     def backward(self, dout):
+        shape, n = take_cache(self)
         d = np.expand_dims(dout, self.axes)
-        return d if self._n == 1 else np.broadcast_to(d, self._shape) / self._n
+        return d if n == 1 else np.broadcast_to(d, shape) / n
 
 
 class Dropout(Layer):
     """Inverted dropout: active only in train mode, scaled by 1/(1-p).
 
-    A training pass keeps a boolean keep-mask and the scale
+    A training pass at p > 0 caches a boolean keep-mask and the scale
     ``dtype(1) / dtype(1 - p)``; an output is the input times the mask,
-    times the scale. Otherwise the layer, and its backward, is the identity.
+    times the scale. Otherwise it caches nothing, and the layer, and its
+    backward, is the identity.
     """
 
     def __init__(self, p, rng):
@@ -371,26 +372,25 @@ class Dropout(Layer):
             raise ShapeError(f"dropout rate must be in [0,1), got {p}")
         self.p = p
         self.rng = rng
-        self._mask = None
-        self._scale = None
 
     def forward(self, x, train=False):
+        self._cache = None
         if not train or self.p == 0.0:
-            self._mask = None
             return x
         keep = 1.0 - self.p
         rdtype = np.float32 if x.dtype == np.float32 else np.float64
-        draws = self.rng.random(x.shape, dtype=rdtype)
-        self._mask = draws < keep
-        self._scale = x.dtype.type(1) / x.dtype.type(keep)
-        out = x * self._mask
-        out *= self._scale
+        draws = self.rng.random(x.shape, dtype=rdtype)  # freed on return: see augment.mixup_batch
+        mask = draws < keep
+        scale = x.dtype.type(1) / x.dtype.type(keep)
+        self._cache = (mask, scale)
+        out = x * mask
+        out *= scale
         return out
 
     def backward(self, dout):
-        mask, self._mask = self._mask, None
-        if mask is None:
+        if self._cache is None:
             return dout
+        mask, scale = take_cache(self)
         dx = dout * mask
-        dx *= self._scale
+        dx *= scale
         return dx

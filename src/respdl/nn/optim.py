@@ -32,6 +32,8 @@ class TrainConfig:
             raise ParameterError("betas must lie in [0, 1)")
         if self.l2_lambda < 0:
             raise ParameterError("l2_lambda must be nonnegative")
+        if self.seed < 0:
+            raise ParameterError("seed must be nonnegative")
 
 
 class Adam:

@@ -54,7 +54,6 @@ class _GRUDirection(Layer):
         self.b = Param(f"{name}.b", np.zeros(3 * h, dtype=dtype), decay=False)
         self.hidden = h
         self.name = name
-        self._cache = None
 
     def _blocks(self):
         h = self.hidden
@@ -141,18 +140,16 @@ class BiGRU(Layer):
         self.hidden = hidden
         self.fwd = _GRUDirection(in_dim, hidden, rng, f"{name}.fwd", dtype)
         self.bwd = _GRUDirection(in_dim, hidden, rng, f"{name}.bwd", dtype)
-        self._t = None
 
     def forward(self, x, train=False):
         if x.ndim != 3 or x.shape[2] != self.in_dim:
             raise ShapeError(f"bigru: expected (B,T,{self.in_dim}), got {x.shape}")
-        self._t = x.shape[1]
         out_f = self.fwd.forward(x, train)
         out_b = self.bwd.forward(x[:, ::-1], train)
         return np.concatenate([out_f, out_b[:, ::-1]], axis=1)
 
     def backward(self, dout):
-        t = self._t
+        t = dout.shape[1] // 2
         dx_f = self.fwd.backward(dout[:, :t])
         dx_b = self.bwd.backward(dout[:, t:][:, ::-1])
         return dx_f + dx_b[:, ::-1]

@@ -3,8 +3,11 @@
 import numpy as np
 import pytest
 
-from respdl.augment import LabeledBatch, MixupConfig, duplicate_to_min, mixup, mixup_batch
+from respdl import models
+from respdl.augment import MixupConfig, duplicate_to_min, mixup_batch
 from respdl.errors import ParameterError
+from respdl.harness import train_loop
+from respdl.nn import TrainConfig
 
 
 class TestDuplicateToMin:
@@ -45,51 +48,59 @@ class TestDuplicateToMin:
 
 
 class TestMixup:
-    def _batches(self, rng, b=6, n=4):
-        xa = rng.standard_normal((b, 8, 10))
-        xb = rng.standard_normal((b, 8, 10))
-        eye = np.eye(n)
-        ya = eye[rng.integers(0, n, b)]
-        yb = eye[rng.integers(0, n, b)]
-        return LabeledBatch(xa, ya), LabeledBatch(xb, yb)
+    def _batch(self, rng, b=6, n=4):
+        x = rng.standard_normal((b, 8, 10))
+        y = np.eye(n)[rng.integers(0, n, b)]
+        return x, y
 
     def test_lambda_one_returns_first(self, rng):
-        a, b = self._batches(rng)
-        out = mixup(a, b, MixupConfig(), rng, lam=1.0)
-        np.testing.assert_array_equal(out.patches, a.patches)
-        np.testing.assert_array_equal(out.targets, a.targets)
+        x, y = self._batch(rng)
+        mx, my = mixup_batch(x, y, MixupConfig(), rng, lam=1.0)
+        np.testing.assert_array_equal(mx, x)
+        np.testing.assert_array_equal(my, y)
 
     def test_lambda_zero_returns_second(self, rng):
-        a, b = self._batches(rng)
-        out = mixup(a, b, MixupConfig(), rng, lam=0.0)
-        np.testing.assert_array_equal(out.patches, b.patches)
-        np.testing.assert_array_equal(out.targets, b.targets)
+        x, y = self._batch(rng)
+        perm = np.random.default_rng(5).permutation(len(x))
+        mx, my = mixup_batch(x, y, MixupConfig(), np.random.default_rng(5), lam=0.0)
+        np.testing.assert_array_equal(mx, x[perm])
+        np.testing.assert_array_equal(my, y[perm])
+
+    def test_draws_the_permutation_then_one_lambda_per_sample(self, rng):
+        x, y = self._batch(rng)
+        draws = np.random.default_rng(5)
+        perm = draws.permutation(len(x))
+        lam = draws.beta(0.4, 0.4, size=len(x))
+        mx, my = mixup_batch(x, y, MixupConfig(alpha=0.4), np.random.default_rng(5))
+        assert mx.tobytes() == (lam[:, None, None] * x
+                                + (1.0 - lam[:, None, None]) * x[perm]).tobytes()
+        assert my.tobytes() == (lam[:, None] * y + (1.0 - lam[:, None]) * y[perm]).tobytes()
 
     def test_targets_stay_on_simplex(self, rng):
-        a, b = self._batches(rng)
-        out = mixup(a, b, MixupConfig(alpha=0.2), rng)
-        np.testing.assert_allclose(out.targets.sum(axis=1), 1.0, atol=1e-6)
-        assert np.all(out.targets >= 0)
+        x, y = self._batch(rng)
+        _, my = mixup_batch(x, y, MixupConfig(alpha=0.2), rng)
+        np.testing.assert_allclose(my.sum(axis=1), 1.0, atol=1e-6)
+        assert np.all(my >= 0)
 
     def test_convex_combination_bounds(self, rng):
-        a, b = self._batches(rng)
-        out = mixup(a, b, MixupConfig(alpha=0.4), rng)
-        lo = np.minimum(a.patches, b.patches)
-        hi = np.maximum(a.patches, b.patches)
-        assert np.all(out.patches >= lo - 1e-12)
-        assert np.all(out.patches <= hi + 1e-12)
+        x, y = self._batch(rng)
+        perm = np.random.default_rng(5).permutation(len(x))
+        mx, _ = mixup_batch(x, y, MixupConfig(alpha=0.4), np.random.default_rng(5))
+        assert np.all(mx >= np.minimum(x, x[perm]) - 1e-12)
+        assert np.all(mx <= np.maximum(x, x[perm]) + 1e-12)
 
-    def test_shape_mismatch_rejected(self, rng):
-        a, _ = self._batches(rng)
-        bad = LabeledBatch(a.patches[:, :4, :], a.targets)
-        with pytest.raises(ParameterError):
-            mixup(a, bad, MixupConfig(), rng)
-
-    def test_disabled_keeps_one_hot(self, rng):
-        a, _ = self._batches(rng)
-        out = mixup_batch(a, MixupConfig(enabled=False), rng)
-        assert out is a
-        assert np.all(np.isin(out.targets, (0.0, 1.0)))
+    def test_disabled_trains_like_no_mixup(self, rng):
+        x = rng.standard_normal((12, 64, 32)).astype(np.float32)
+        y = np.eye(4, dtype=np.float32)[rng.integers(0, 4, 12)]
+        cfg = TrainConfig(epochs=2, batch_size=6, lr=1e-3, seed=1)
+        runs = []
+        for mixup_cfg in (None, MixupConfig(enabled=False)):
+            model = models.CNNMoE(4, patch_width=32, seed=3)
+            history, _ = train_loop(model, x, y, cfg, mixup_cfg=mixup_cfg, seed=2)
+            runs.append(([loss for _, loss, _ in history], model.state()))
+        (losses_none, state_none), (losses_off, state_off) = runs
+        assert losses_off == losses_none
+        assert all(state_off[k].tobytes() == state_none[k].tobytes() for k in state_none)
 
     def test_alpha_must_be_positive(self):
         with pytest.raises(ParameterError):

@@ -115,6 +115,29 @@ class TestExitCodes:
         assert flag[2:].replace("-", "_") in capsys.readouterr().err
         assert not list(tmp_path.glob("run_*"))
 
+    @pytest.mark.parametrize("command, flag, value", [
+        ("train", "--min-cycle-seconds", "nan"),
+        ("train", "--min-cycle-seconds", "inf"),
+        ("train", "--min-cycle-seconds", "0"),
+        ("ingest", "--fold-seed", "-1"),
+        ("train", "--seed", "-1"),
+        ("train", "--lr", "nan"),
+        ("train", "--eps", "inf"),
+        ("train", "--l2-lambda", "nan"),
+        ("train", "--mixup-alpha", "inf"),
+        ("train", "--early-stop-acc", "nan"),
+    ])
+    def test_bad_number_is_usage_error(self, cli_dataset, tmp_path, capsys,
+                                       command, flag, value):
+        code = run_cli(command, "--audio-dir", str(cli_dataset),
+                       "--diagnosis-file", str(cli_dataset / "diagnosis.csv"),
+                       "--out-dir", str(tmp_path), flag, value)
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error:") and "Traceback" not in err
+        assert flag[2:].replace("-", "_") in err
+        assert not list(tmp_path.glob("run_*"))
+
     def test_too_few_entities_is_data_error(self, tmp_path):
         ingest.write_wav(tmp_path / "101_x.wav", np.zeros(2000), 16000)
         (tmp_path / "101_x.txt").write_text("0.0 0.1 0 0\n")
@@ -550,7 +573,15 @@ class TestSweepCommands:
     @pytest.mark.parametrize("command,values", [
         ("sweep-cycle", ("--lengths", "0.5,abc")),
         ("sweep-timeres", ("--widths", "32.5")),
-    ], ids=["sweep-cycle", "sweep-timeres"])
+        ("sweep-cycle", ("--lengths", "nan")),
+        ("sweep-cycle", ("--lengths", "0.5,inf")),
+        ("sweep-cycle", ("--lengths", "0")),
+        ("sweep-cycle", ("--lengths", "-2.0")),
+        ("sweep-timeres", ("--widths", "-32")),
+        ("sweep-timeres", ("--widths", "32,0")),
+    ], ids=["sweep-cycle", "sweep-timeres", "sweep-cycle-nan", "sweep-cycle-inf",
+            "sweep-cycle-zero", "sweep-cycle-negative", "sweep-timeres-negative",
+            "sweep-timeres-zero"])
     def test_bad_value_is_usage_error(self, tmp_path, command, values, capsys):
         # the audio directory does not exist: reading it would be a data error (2)
         assert run_cli(command, "--audio-dir", str(tmp_path / "missing"),

@@ -137,9 +137,7 @@ def _all_layers(model):
 def _holding_activations(model):
     """Names of the layers that hold an activation for a backward pass."""
     return {getattr(layer, "name", type(layer).__name__)
-            for layer in _all_layers(model)
-            for attr in ("_cache", "_xp", "_out", "_x", "_mask")
-            if getattr(layer, attr, None) is not None}
+            for layer in _all_layers(model) if layer._cache is not None}
 
 
 # each tiny model, with its head layers that cache, the last one first

@@ -81,7 +81,8 @@ class TestLayerGradients:
         (lambda rng: ReLU(name="act"), (4, 6)),
         (lambda rng: BiGRU(4, 3, rng, name="gru"), (2, 5, 4)),
         (lambda rng: models.MoELayer(6, 3, 2, rng, name="moe"), (4, 6)),
-    ], ids=["dense", "conv", "bn", "relu", "bigru", "moe"])
+        (lambda rng: Mean((1, 2)), (2, 5, 5, 2)),
+    ], ids=["dense", "conv", "bn", "relu", "bigru", "moe", "mean"])
     def test_backward_needs_its_own_training_forward(self, rng, make, shape):
         layer = make(rng)
         x = rng.standard_normal(shape).astype(np.float32)
@@ -93,7 +94,8 @@ class TestLayerGradients:
             lambda: (layer.forward(x, train=True), layer.backward(dout)),  # used up
         ):
             before_backward()
-            with pytest.raises(ParameterError, match=r"^(fc|cv|bn|act|gru\.fwd|moe): backward"):
+            with pytest.raises(ParameterError,
+                               match=r"^(fc|cv|bn|act|gru\.fwd|moe|Mean): backward"):
                 layer.backward(dout)
 
     def test_conv_inference_keeps_no_im2col(self, rng):
@@ -101,7 +103,7 @@ class TestLayerGradients:
         x = rng.standard_normal((2, 5, 5, 2)).astype(np.float32)
         layer.forward(x, train=True)
         layer.forward(x, train=False)
-        assert layer._xp is None  # the training pass's padded input is dropped too
+        assert layer._cache is None  # the training pass's padded input is dropped too
 
     def test_avgpool_constant_preserved(self):
         from respdl.nn import AvgPool2d
@@ -113,7 +115,7 @@ class TestLayerGradients:
     def test_gradcheck_detects_broken_backward(self, rng):
         class Broken(Dense):
             def backward(self, dout):
-                self.w.grad += 0.5 * (self._x.T @ dout)
+                self.w.grad += 0.5 * (self._cache.T @ dout)
                 self.b.grad += dout.sum(axis=0)
                 return dout @ self.w.data.T
 
@@ -151,9 +153,10 @@ class TestConvCache:
         layer = Conv2d(3, 5, kh, kw, rng)
         x = rng.standard_normal((2, 8, 6, 3)).astype(np.float32)
         layer.forward(x, train=True)
-        assert layer._xp.shape == (2, 8 + kh - 1, 6 + kw - 1, 3)
+        xp, shape = layer._cache
+        assert xp.shape == (2, 8 + kh - 1, 6 + kw - 1, 3) and shape == (2, 8, 6)
         np.testing.assert_array_equal(
-            layer._xp[:, layer.pad_h[0]:layer.pad_h[0] + 8, layer.pad_w[0]:layer.pad_w[0] + 6], x)
+            xp[:, layer.pad_h[0]:layer.pad_h[0] + 8, layer.pad_w[0]:layer.pad_w[0] + 6], x)
 
     @CONV_KERNELS
     def test_backward_matches_a_column_caching_backward(self, rng, kh, kw):
@@ -163,7 +166,7 @@ class TestConvCache:
         dout = rng.standard_normal((2, 8, 6, 5)).astype(np.float32)
         layer.forward(x, train=True)
         col_bytes = 2 * 8 * 6 * kh * kw * 3 * 4
-        held = [v for v in vars(layer).values() if isinstance(v, np.ndarray)]
+        held = [v for v in (*vars(layer).values(), *layer._cache) if isinstance(v, np.ndarray)]
         assert all(v.nbytes < col_bytes for v in held)  # no im2col matrix is kept
         dx = layer.backward(dout)
         dw, db, want_dx = _column_caching_conv_grads(layer, x, dout)
