@@ -262,6 +262,8 @@ def cmd_ingest(args) -> int:
 
 def cmd_train(args) -> int:
     cfg = build_config(args)
+    if args.fold is not None and not 0 <= args.fold < cfg.k:
+        raise UsageError(f"--fold {args.fold} is outside the k={cfg.k} folds 0..{cfg.k - 1}")
     manifest = _load_manifest(cfg)
     features = harness.build_features(manifest, cfg.task, cfg.min_cycle_seconds)
     folds = harness.config_folds(cfg, manifest)
@@ -376,7 +378,7 @@ def main(argv=None) -> int:
     except NumericalError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
-    except (RespdlError, FileNotFoundError, NotADirectoryError) as exc:
+    except (RespdlError, OSError, UnicodeDecodeError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return 2
 

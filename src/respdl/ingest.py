@@ -360,7 +360,7 @@ def build_manifest(audio_dir, diagnosis_file, task: str) -> DatasetManifest:
             continue
         try:
             labels = parse_annotation(ann_path.read_text())
-        except ParseError as exc:
+        except (ParseError, UnicodeDecodeError) as exc:
             manifest.rejects.append((stem, f"annotation parse error: {exc}"))
             continue
         manifest.records.append(

@@ -14,12 +14,12 @@ Every averaging step is one ``Mean`` layer: the global pool over both
 spatial axes, the drop of the one band the C-RNN front leaves, and the
 per-frame feature average.
 
-Both share ``Sequential``: conv blocks, then a head, then one softmax, so
-their forward passes produce row-stochastic outputs; training drives them
-through the fused softmax+cross-entropy backward, entered via
-``backward(dlogits)``. A model's whole trained state is one name -> array
-dict, its parameters and batch-norm running statistics: ``state()`` copies
-it out and ``load_state()`` checks and copies it back in.
+Both share ``Sequential``: a block is one ``Chain``, and the model a
+``Chain`` of blocks, then head, then one softmax (``Classifier``), so its
+forward is row-stochastic; training enters the fused softmax+cross-entropy
+backward via ``backward(dlogits)``. A model's whole trained state is one
+name -> array dict, its parameters and batch-norm running statistics:
+``state()`` copies it out and ``load_state()`` checks and copies it back in.
 
 The layers are the only description of each architecture: the output
 shape of every block follows from them. Any patch width reuses the same
@@ -37,6 +37,8 @@ from .errors import FormatError, ParameterError, ShapeError
 from .nn.layers import (
     AvgPool2d,
     BatchNorm2d,
+    Chain,
+    Classifier,
     Conv2d,
     Dense,
     Dropout,
@@ -60,7 +62,6 @@ class MoELayer(Layer):
     """
 
     def __init__(self, in_dim, n_classes, n_experts, rng, name="moe", dtype=np.float32):
-        self.n_experts = n_experts
         self.expert_w = Param(
             f"{name}.experts.W",
             np.stack([xavier_uniform(rng, (in_dim, n_classes), dtype) for _ in range(n_experts)]),
@@ -69,6 +70,7 @@ class MoELayer(Layer):
             f"{name}.experts.b", np.zeros((n_experts, n_classes), dtype=dtype), decay=False
         )
         self.gate = Dense(in_dim, n_experts, rng, name=f"{name}.gate", dtype=dtype)
+        self.layers = (self.gate,)
         self.name = name
 
     def forward(self, x, train=False):
@@ -90,29 +92,29 @@ class MoELayer(Layer):
         return dx + self.gate.backward(dgate)
 
     def params(self):
-        return [self.expert_w, self.expert_b] + self.gate.params()
+        return [self.expert_w, self.expert_b] + super().params()
 
     def gate_weights(self, x):
         """Gate distribution for inspection; rows lie on the simplex."""
         return softmax(self.gate.forward(x))
 
 
-class Sequential:
+class Sequential(Classifier):
     """Conv blocks over (B, 64, W) patches, a head that returns logits, and
     one trailing softmax.
 
     A subclass sets ``name``, the conv kernel ``_KERNEL`` and the block
     schedule ``_SCHEDULE``; its constructor builds the blocks with
-    ``_build_blocks`` and then sets ``head`` (the layers after the blocks,
-    in forward order; each is also a model attribute, where per-layer
-    instrumentation finds it). Layer order fixes the order of ``params()``,
-    which the optimizer state follows.
+    ``_build_blocks``, then chains them and the head layers (each also a
+    model attribute, where per-layer instrumentation finds it) in forward
+    order. Layer order fixes the order of ``params()``, which the
+    optimizer state follows.
     """
 
     def _build_blocks(self, patch_width, dropout_rates, seed, dtype):
         """Set ``patch_width``, ``drop_rng`` (the one generator the model's
         ``Dropout`` layers draw from) and ``blocks``: per ``_SCHEDULE``
-        entry (out_ch, pooling layer maker or None), the layers Bn - Cv -
+        entry (out_ch, pooling layer maker or None), one ``Chain`` Bn - Cv -
         Relu - Bn - [pool] - Dr, taking the previous block's channels and
         the next dropout rate. Returns the generator that initialized them,
         for the head."""
@@ -132,14 +134,9 @@ class Sequential:
             ]
             if pool is not None:
                 block.append(pool())
-            self.blocks.append(block + [Dropout(p, self.drop_rng)])
+            self.blocks.append(Chain(*block, Dropout(p, self.drop_rng)))
             in_ch = out_ch
         return init_rng
-
-    def _layers(self):
-        for block in self.blocks:
-            yield from block
-        yield from self.head
 
     def forward(self, x, train=False):
         if x.ndim == 3:
@@ -148,26 +145,15 @@ class Sequential:
             raise ShapeError(
                 f"{self.name}: expected (B,64,{self.patch_width}) patches, got {x.shape}"
             )
-        for layer in self._layers():
-            x = layer.forward(x, train)
-        return softmax(x)
+        return super().forward(x, train)
 
     def backward(self, dlogits):
-        d = dlogits
-        for layer in reversed(list(self._layers())):
-            d = layer.backward(d)
-        return d[:, :, :, 0]
-
-    def params(self):
-        return [p for layer in self._layers() for p in layer.params()]
+        return super().backward(dlogits)[:, :, :, 0]
 
     def _arrays(self):
-        """Every parameter, then every layer buffer (the batch-norm running
+        """Every parameter, then every buffer (the batch-norm running
         statistics), by name, as the arrays the model computes with."""
-        arrays = {p.name: p.data for p in self.params()}
-        for layer in self._layers():
-            arrays.update(layer.buffers())
-        return arrays
+        return {p.name: p.data for p in self.params()} | self.buffers()
 
     def state(self) -> dict:
         """A copy of the model's trained state: each parameter and each
@@ -213,7 +199,7 @@ class CNNMoE(Sequential):
     ):
         init_rng = self._build_blocks(patch_width, dropout_rates, seed, dtype)
         self.moe = MoELayer(512, n_classes, n_experts, init_rng, dtype=dtype)
-        self.head = (self.moe,)
+        super().__init__(*self.blocks, self.moe)
 
 
 class CRNN(Sequential):
@@ -246,8 +232,8 @@ class CRNN(Sequential):
         self.relu2 = ReLU(name="relu2")
         self.drop2 = Dropout(dropout_rates[5], self.drop_rng)
         self.fc3 = Dense(1024, n_classes, init_rng, name="fc3", dtype=dtype)
-        self.head = (self.drop_freq, self.gru, self.feat_pool, self.fc1, self.relu1,
-                     self.drop1, self.fc2, self.relu2, self.drop2, self.fc3)
+        super().__init__(*self.blocks, self.drop_freq, self.gru, self.feat_pool, self.fc1,
+                         self.relu1, self.drop1, self.fc2, self.relu2, self.drop2, self.fc3)
 
 
 def build_model(name, n_classes, patch_width=128, seed=0, gru_hidden=512,

@@ -7,6 +7,7 @@ tune_malloc()
 from .layers import (
     AvgPool2d,
     BatchNorm2d,
+    Chain,
     Conv2d,
     Dense,
     Dropout,
@@ -27,6 +28,7 @@ __all__ = [
     "AvgPool2d",
     "BatchNorm2d",
     "BiGRU",
+    "Chain",
     "Conv2d",
     "Dense",
     "Dropout",

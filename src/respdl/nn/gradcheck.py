@@ -87,27 +87,6 @@ def grad_check(layer, x, train=True, step=1e-5, sample=None, seed=0, targets=Non
     return {"max_rel_err": max(per_tensor.values()), "per_tensor": per_tensor}
 
 
-class _Chain:
-    """Layers applied in order, then (``softmax=True``) one softmax whose
-    backward is fused into the loss, as in a model."""
-
-    def __init__(self, *layers, softmax=False):
-        self.layers, self.softmax = layers, softmax
-
-    def forward(self, x, train=False):
-        for layer in self.layers:
-            x = layer.forward(x, train)
-        return ly.softmax(x) if self.softmax else x
-
-    def backward(self, dout):
-        for layer in reversed(self.layers):
-            dout = layer.backward(dout)
-        return dout
-
-    def params(self):
-        return [p for layer in self.layers for p in layer.params()]
-
-
 def standard_suite(step=1e-5, seed=0):
     """``grad_check`` over every layer kind used by the two architectures,
     softmax + cross-entropy through the fused backward, a conv -> relu
@@ -140,9 +119,9 @@ def standard_suite(step=1e-5, seed=0):
     run("feature_avgpool", ly.Mean(2), rng.standard_normal((2, 5, 7)), 1e-8)
     run("dropout_off", ly.Dropout(0.0, rng), rng.standard_normal((4, 6)), 1e-8)
     run("bigru", BiGRU(4, 3, rng, dtype=f64), rng.standard_normal((2, 5, 4)), 1e-4)
-    run("softmax_ce", _Chain(ly.Dense(6, 4, rng, dtype=f64), softmax=True),
+    run("softmax_ce", ly.Classifier(ly.Dense(6, 4, rng, dtype=f64)),
         rng.standard_normal((5, 6)), 1e-4, targets=np.eye(4)[rng.integers(0, 4, size=5)])
-    run("conv_relu_stack", _Chain(ly.Conv2d(2, 3, 3, 3, rng, dtype=f64), ly.ReLU()),
+    run("conv_relu_stack", ly.Chain(ly.Conv2d(2, 3, 3, 3, rng, dtype=f64), ly.ReLU()),
         rng.standard_normal((2, 6, 6, 2)) + 0.1, 1e-4)
 
     # both full models, reduced width (and GRU size), pooling schedule

@@ -8,6 +8,11 @@ into ``Param.grad``; the training loop zeroes them between steps.
 Convolutions use stride 1 and same-padding (extra padding on the trailing
 side for even kernels), so spatial dims change only at pooling layers.
 
+A layer built from other layers lists them in ``layers``; its parameters
+and buffers are its own plus its members', in member order. A ``Chain``
+runs its members forward in order and backward in reverse (a model's
+conv block is one); a ``Classifier`` is a chain ending in one softmax.
+
 The two costly layers keep their passes over full activation tensors few:
 a convolution is one GEMM over an im2col matrix forward; backward rebuilds
 the matrix from the padded input a training forward kept, then takes two
@@ -99,16 +104,45 @@ def softmax(x: np.ndarray, axis: int = -1) -> np.ndarray:
 
 class Layer:
     """The protocol every layer shares besides ``forward`` and ``backward``:
-    its trainable parameters and its buffers by name, none by default, and
-    the ``_cache`` a training forward leaves for the backward."""
+    its members, its parameters and its buffers by name (by default its
+    members'), and the ``_cache`` a training forward leaves for backward."""
 
     _cache = None
+    layers = ()
 
     def params(self) -> list[Param]:
-        return []
+        return [p for layer in self.layers for p in layer.params()]
 
     def buffers(self) -> dict[str, np.ndarray]:
-        return {}
+        return {name: data for layer in self.layers for name, data in layer.buffers().items()}
+
+
+class Chain(Layer):
+    """Its member layers, applied in order; backward runs them in reverse."""
+
+    def __init__(self, *layers):
+        self.layers = layers
+
+    def __iter__(self):
+        return iter(self.layers)
+
+    def forward(self, x, train=False):
+        for layer in self.layers:
+            x = layer.forward(x, train)
+        return x
+
+    def backward(self, dout):
+        for layer in reversed(self.layers):
+            dout = layer.backward(dout)
+        return dout
+
+
+class Classifier(Chain):
+    """A chain whose logits pass through one softmax. Its backward takes
+    the logit gradient: the softmax backward is fused into ``loss_ce_l2``."""
+
+    def forward(self, x, train=False):
+        return softmax(super().forward(x, train))
 
 
 class Dense(Layer):

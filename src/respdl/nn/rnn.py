@@ -137,9 +137,9 @@ class BiGRU(Layer):
 
     def __init__(self, in_dim, hidden, rng, name="bigru", dtype=np.float32):
         self.in_dim = in_dim
-        self.hidden = hidden
         self.fwd = _GRUDirection(in_dim, hidden, rng, f"{name}.fwd", dtype)
         self.bwd = _GRUDirection(in_dim, hidden, rng, f"{name}.bwd", dtype)
+        self.layers = (self.fwd, self.bwd)
 
     def forward(self, x, train=False):
         if x.ndim != 3 or x.shape[2] != self.in_dim:
@@ -153,6 +153,3 @@ class BiGRU(Layer):
         dx_f = self.fwd.backward(dout[:, :t])
         dx_b = self.bwd.backward(dout[:, t:][:, ::-1])
         return dx_f + dx_b[:, ::-1]
-
-    def params(self):
-        return self.fwd.params() + self.bwd.params()

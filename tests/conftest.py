@@ -74,7 +74,7 @@ def forward_shapes(model):
             x = layer.forward(x, train=True)
         shape = x.shape[1:]
         shapes.append(shape[1:] if len(shape) == 3 and shape[0] == 1 else shape)
-    for layer in model.head:
+    for layer in model.layers[len(model.blocks):]:  # the head
         x = layer.forward(x, train=True)
         if not (isinstance(layer, (ReLU, Dropout))
                 or layer is getattr(model, "drop_freq", None)):

@@ -24,6 +24,11 @@ def cli_dataset(tmp_path_factory):
     return d
 
 
+def _write_bytes(path, data):
+    path.write_bytes(data)
+    return path
+
+
 def train_run(cli_dataset, out, *flags):
     code = run_cli(
         "train",
@@ -137,6 +142,40 @@ class TestExitCodes:
         assert err.startswith("error:") and "Traceback" not in err
         assert flag[2:].replace("-", "_") in err
         assert not list(tmp_path.glob("run_*"))
+
+    @pytest.mark.parametrize("flags", [("--k", "2", "--fold", "5"), ("--fold", "5"),
+                                       ("--fold", "-1")], ids=["k2-fold5", "fold5", "fold-1"])
+    def test_fold_outside_k_is_usage_error_before_any_run(self, cli_dataset, tmp_path, capsys,
+                                                          flags):
+        code = run_cli("train", "--audio-dir", str(cli_dataset),
+                       "--diagnosis-file", str(cli_dataset / "diagnosis.csv"),
+                       "--out-dir", str(tmp_path), *flags)
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error: --fold") and "Traceback" not in err
+        assert not list(tmp_path.glob("run_*"))
+
+    # each makes its bad input under tmp_path and returns the command's arguments
+    UNREADABLE = {
+        "config-dir": lambda data, tmp: ["train", "--config", str(tmp)],
+        "config-non-utf8": lambda data, tmp: [
+            "train", "--config", str(_write_bytes(tmp / "bad.cfg", b"epochs=1 # \xff\n"))],
+        "diagnosis-dir": lambda data, tmp: [
+            "train", "--audio-dir", str(data), "--diagnosis-file", str(tmp)],
+        "diagnosis-non-utf8": lambda data, tmp: [
+            "train", "--audio-dir", str(data),
+            "--diagnosis-file", str(_write_bytes(tmp / "diag.csv", b"101,Healthy\xff\n"))],
+        "eval-checkpoint-dir": lambda data, tmp: ["eval", "--checkpoint", str(tmp)],
+    }
+
+    @pytest.mark.parametrize("case", list(UNREADABLE))
+    def test_unreadable_input_is_data_error(self, cli_dataset, tmp_path, capsys, case):
+        argv = self.UNREADABLE[case](cli_dataset, tmp_path)
+        code = run_cli(*argv, "--out-dir", str(tmp_path / "runs"))
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("data error:") and "Traceback" not in err
+        assert not list(tmp_path.glob("runs/run_*"))
 
     def test_too_few_entities_is_data_error(self, tmp_path):
         ingest.write_wav(tmp_path / "101_x.wav", np.zeros(2000), 16000)

@@ -211,6 +211,18 @@ class TestManifest:
         assert len(manifest.rejects) == 1
         assert "missing from diagnosis" in manifest.rejects[0][1]
 
+    def test_non_utf8_annotation_goes_to_rejects(self, tmp_path):
+        diag = tmp_path / "diag.csv"
+        diag.write_text("101,Healthy\n102,Healthy\n")
+        for stem in ("101_x", "102_x"):
+            ingest.write_wav(tmp_path / f"{stem}.wav", np.zeros(100), 16000)
+        (tmp_path / "101_x.txt").write_bytes(b"0.0 0.005 0 0 \xff\n")
+        (tmp_path / "102_x.txt").write_text("0.0 0.005 0 0\n")
+        manifest = ingest.build_manifest(tmp_path, diag, "Task1_4class")
+        assert [rec.recording_id for rec in manifest.records] == ["102_x"]
+        assert [stem for stem, _ in manifest.rejects] == ["101_x"]
+        assert manifest.rejects[0][1].startswith("annotation parse error:")
+
     def test_task2_entities_are_recordings(self, synth_manifest):
         ents = synth_manifest.entities("Task2_3class")
         assert len(ents) == 40

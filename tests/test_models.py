@@ -113,25 +113,42 @@ class TestModelOutputs:
                 assert np.all(p >= 0)
 
 
+@pytest.mark.parametrize("build", [
+    lambda: models.CNNMoE(4, patch_width=32, seed=3),
+    lambda: models.CRNN(4, patch_width=32, gru_hidden=16, seed=3),
+], ids=["cnn_moe", "crnn"])
 class TestLayerProtocol:
-    @pytest.mark.parametrize("build", [
-        lambda: models.CNNMoE(4, patch_width=32, seed=3),
-        lambda: models.CRNN(4, patch_width=32, gru_hidden=16, seed=3),
-    ], ids=["cnn_moe", "crnn"])
     def test_state_is_the_params_then_the_batchnorm_running_stats(self, build):
         model = build()
-        assert all(isinstance(layer, Layer) for layer in model._layers())
+        assert all(isinstance(layer, Layer) for layer in _all_layers(model))
         running = [f"block{i}.{bn}.{stat}" for i in range(1, len(model.blocks) + 1)
                    for bn in ("bn_in", "bn_out") for stat in ("running_mean", "running_var")]
         assert list(model.state()) == [p.name for p in model.params()] + running
 
+    def test_a_blocks_params_and_buffers_are_its_members_in_order(self, build):
+        model = build()
+        for i, block in enumerate(model.blocks, start=1):
+            members = list(block)
+            assert block.params() == [p for layer in members for p in layer.params()]
+            assert [p.name for p in block.params()] == [
+                f"block{i}.{layer}.{name}" for layer, names in
+                (("bn_in", ("gamma", "beta")), ("conv", ("W", "b")), ("bn_out", ("gamma", "beta")))
+                for name in names]
+            buffers = [item for layer in members for item in layer.buffers().items()]
+            assert [name for name, _ in buffers] == [
+                f"block{i}.{bn}.{stat}" for bn in ("bn_in", "bn_out")
+                for stat in ("running_mean", "running_var")]
+            assert list(block.buffers()) == [name for name, _ in buffers]
+            assert all(block.buffers()[name] is data for name, data in buffers)
 
-def _all_layers(model):
-    """Every layer of a model, with the layers inside a layer (the GRU
-    directions, the MoE gate)."""
-    for layer in model._layers():
-        yield layer
-        yield from (v for v in vars(layer).values() if hasattr(v, "backward"))
+
+def _all_layers(layer):
+    """A layer and every layer inside it, through ``layers``: a model's
+    blocks and head, each block's members, the GRU directions, the MoE
+    gate."""
+    yield layer
+    for member in layer.layers:
+        yield from _all_layers(member)
 
 
 def _holding_activations(model):

@@ -11,8 +11,10 @@ from respdl import models
 from respdl.errors import FormatError, NumericalError, ParameterError, ShapeError
 from respdl.nn import (
     Adam,
+    AvgPool2d,
     BatchNorm2d,
     BiGRU,
+    Chain,
     Conv2d,
     Dense,
     Dropout,
@@ -145,6 +147,44 @@ def _column_caching_conv_grads(layer, x, dout):
 
 
 CONV_KERNELS = pytest.mark.parametrize("kh, kw", [(3, 3), (4, 1)], ids=["3x3", "4x1"])
+
+
+class TestChain:
+    @staticmethod
+    def _block_layers(seed):
+        """The layers of one conv block at float64, initialized and
+        dropping from one generator seeded with ``seed``."""
+        rng = np.random.default_rng(seed)
+        return [BatchNorm2d(2, name="bn_in", dtype=F64), Conv2d(2, 3, 3, 3, rng, dtype=F64),
+                ReLU(), BatchNorm2d(3, name="bn_out", dtype=F64), AvgPool2d(2, 2),
+                Dropout(0.3, rng)]
+
+    def test_passes_are_its_members_one_by_one_bit_for_bit(self, rng):
+        x = rng.standard_normal((2, 4, 6, 2))
+        dout = rng.standard_normal((2, 2, 3, 3))
+        chain, layers = Chain(*self._block_layers(5)), self._block_layers(5)
+        out, dx = chain.forward(x, train=True), chain.backward(dout)
+        ref = x
+        for layer in layers:
+            ref = layer.forward(ref, train=True)
+        dref = dout
+        for layer in reversed(layers):
+            dref = layer.backward(dref)
+        np.testing.assert_array_equal(out, ref)
+        np.testing.assert_array_equal(dx, dref)
+        member_params = [p for layer in layers for p in layer.params()]
+        for p, q in zip(chain.params(), member_params, strict=True):
+            assert p.name == q.name
+            np.testing.assert_array_equal(p.grad, q.grad)
+        ref_buffers = {k: v for layer in layers for k, v in layer.buffers().items()}
+        assert list(chain.buffers()) == list(ref_buffers)
+        for name, data in chain.buffers().items():
+            np.testing.assert_array_equal(data, ref_buffers[name])
+
+        ref = x
+        for layer in layers:
+            ref = layer.forward(ref)
+        np.testing.assert_array_equal(chain.forward(x), ref)
 
 
 class TestConvCache:
