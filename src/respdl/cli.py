@@ -114,12 +114,12 @@ def _add_config_flags(parser):
 
 def parse_config_file(path) -> dict:
     values = {}
-    for lineno, raw in enumerate(Path(path).read_text().splitlines(), start=1):
+    for lineno, raw in enumerate(ingest.read_text(path).splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         if "=" not in line:
-            raise ParseError(f"expected key=value, got {raw!r}", line=lineno)
+            raise ParseError(f"expected key=value, got {raw!r}", line=lineno, path=path)
         key, _, value = line.partition("=")
         values[key.strip()] = value.strip()
     return values
@@ -378,7 +378,7 @@ def main(argv=None) -> int:
     except NumericalError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
-    except (RespdlError, OSError, UnicodeDecodeError) as exc:
+    except (RespdlError, OSError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return 2
 

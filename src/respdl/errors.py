@@ -18,11 +18,14 @@ class UnsupportedError(RespdlError):
 
 
 class ParseError(RespdlError):
-    """Syntactically invalid text input. Carries a line number when known."""
+    """Syntactically invalid text input. Carries a line number when known,
+    and names the file when given its path."""
 
-    def __init__(self, message, line=None):
+    def __init__(self, message, line=None, path=None):
         if line is not None:
             message = f"line {line}: {message}"
+        if path is not None:
+            message = f"{path}: {message}"
         super().__init__(message)
         self.line = line
 

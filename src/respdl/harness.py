@@ -3,9 +3,10 @@ entity-level evaluation, cross-validation, challenge metrics, fold
 checkpoints, and the sweep behind the cycle-length and time-resolution
 analyses.
 
-Cross-validation trains each (fold, member) pair as an independent job, in
-a pool of worker processes that each run BLAS on one thread, and scores
-and fuses the folds in the calling process. A member trains through one
+Cross-validation trains each (fold, member) pair as an independent job,
+``_member_job``: in a pool of worker processes that each run BLAS on one
+thread, or, with one worker, in the calling process; either way the folds
+are scored and fused in the calling process. A member trains through one
 epoch loop: ``run_epoch`` advances its ``TrainState`` (model, ``Adam``,
 shuffle, mixup and dropout generators, history and train accuracies, and
 the selection's best score and state) by an epoch, and ``train_loop``
@@ -31,6 +32,7 @@ import math
 import multiprocessing
 import os
 from collections.abc import Callable
+from contextlib import nullcontext
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
@@ -618,23 +620,6 @@ def fold_result(config: ExperimentConfig, fold_id: int, features: dict[str, Enti
     return FoldResult(fold_id, score(probs, truths, config.task), members)
 
 
-def run_fold(
-    config: ExperimentConfig,
-    fold_id: int,
-    features: dict[str, EntityFeatures],
-    folds: ingest.FoldAssignment,
-) -> FoldResult:
-    """Train on the k-1 other folds, evaluate on this one at entity level.
-
-    For the ensemble the two members are trained one after the other on the
-    same inputs and fused at inference. The history records one row per
-    epoch.
-    """
-    inputs = fold_inputs(config, fold_id, features, folds)
-    members = [train_member(config, fold_id, name, inputs) for name in _model_names(config)]
-    return fold_result(config, fold_id, features, members)
-
-
 @dataclass
 class CVResult:
     config: ExperimentConfig
@@ -704,34 +689,33 @@ def _openblas():
     return None
 
 
-_WORKER_DATA: dict = {}  # set once per pool worker process by its initializer
+_RUN: dict = {}  # the running run_cv's jobs, features and folds; pool workers fork with it
 
 
-def _start_worker(features, folds):
+def _start_worker():
     """Pool initializer: pin BLAS to one thread (best effort), so workers
-    do not contend for the cores, and keep the run's data for every job."""
+    do not contend for the cores."""
     set_threads = getattr(_openblas(), "scipy_openblas_set_num_threads64_", None)
     if set_threads is not None:
         set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
         set_threads(1)
-    _WORKER_DATA.update(features=features, folds=folds)
 
 
-def _member_job(numbered_job) -> tuple[int, MemberResult]:
-    i, (config, fold_id, name) = numbered_job
-    inputs = fold_inputs(config, fold_id, _WORKER_DATA["features"], _WORKER_DATA["folds"])
+def _member_job(i: int) -> tuple[int, MemberResult]:
+    """Train job ``i`` of the running ``run_cv``: one member on one fold."""
+    config, fold_id, name = _RUN["jobs"][i]
+    inputs = fold_inputs(config, fold_id, _RUN["features"], _RUN["folds"])
     return i, train_member(config, fold_id, name, inputs)
 
 
-def member_pool(workers: int, features, folds):
-    """Worker processes with one BLAS thread each, holding ``features`` and
-    ``folds``. The workers are forked, so they share the parent's feature
-    arrays copy-on-write instead of each holding a pickled copy; OpenBLAS
-    shuts its threads down around a fork, and the pool forks every worker
-    before it starts its own threads. Leaving the pool's ``with`` block
-    terminates the workers, jobs still running included."""
-    return multiprocessing.get_context("fork").Pool(
-        workers, initializer=_start_worker, initargs=(features, folds))
+def member_pool(workers: int):
+    """Worker processes with one BLAS thread each. The workers are forked
+    while ``run_cv`` holds its run in ``_RUN``, so they share the parent's
+    feature arrays copy-on-write instead of each holding a pickled copy;
+    OpenBLAS shuts its threads down around a fork, and the pool forks every
+    worker before it starts its own threads. Leaving the pool's ``with``
+    block terminates the workers, jobs still running included."""
+    return multiprocessing.get_context("fork").Pool(workers, initializer=_start_worker)
 
 
 def run_cv(
@@ -740,32 +724,42 @@ def run_cv(
     folds: ingest.FoldAssignment,
     fold_ids=None,
 ) -> CVResult:
-    """Run every fold and average.
+    """Run every fold (or ``fold_ids``) and average.
 
-    Each (fold, member) pair is an independent job. With more than one
-    worker (``worker_count``) the jobs run side by side in a process pool
-    and each fold is scored in this process, in fold order; otherwise the
-    folds run here one after another. In the pool, the first member to
-    fail (in time, not in job order) is raised at once, and the members
-    still training are stopped.
+    Each (fold, member) pair is one ``_member_job``. With more than one
+    worker (``worker_count``) the jobs run side by side in a process pool,
+    and the first member to fail (in time, not in job order) is raised at
+    once while the members still training are stopped; otherwise the same
+    jobs run here one after another. Either way each fold is scored in this
+    process, in fold order.
     """
     fold_ids = list(fold_ids) if fold_ids is not None else list(range(folds.k))
     names = _model_names(config)
     jobs = [(config, f, name) for f in fold_ids for name in names]
     workers = worker_count(config, len(jobs), features)
-    if workers > 1:
-        members = [None] * len(jobs)
-        with member_pool(workers, features, folds) as pool:
-            for i, member in pool.imap_unordered(_member_job, enumerate(jobs)):
-                members[i] = member
-        results = [
-            fold_result(config, f, features, members[i * len(names):(i + 1) * len(names)])
-            for i, f in enumerate(fold_ids)
-        ]
-    else:
-        results = [run_fold(config, f, features, folds) for f in fold_ids]
-    mean = _mean_metrics([r.metrics for r in results])
-    return CVResult(config=config, fold_results=results, mean=mean)
+    _RUN.update(jobs=jobs, features=features, folds=folds)
+    try:
+        with member_pool(workers) if workers > 1 else nullcontext() as pool:
+            run = map if pool is None else pool.imap_unordered
+            members = [member for _, member in sorted(run(_member_job, range(len(jobs))))]
+    finally:
+        _RUN.clear()
+    results = [
+        fold_result(config, f, features, members[i * len(names):(i + 1) * len(names)])
+        for i, f in enumerate(fold_ids)
+    ]
+    return CVResult(config, results, _mean_metrics([r.metrics for r in results]))
+
+
+def run_fold(
+    config: ExperimentConfig,
+    fold_id: int,
+    features: dict[str, EntityFeatures],
+    folds: ingest.FoldAssignment,
+) -> FoldResult:
+    """``run_cv`` over fold ``fold_id`` alone: train on the k-1 other folds
+    and evaluate on this one at entity level."""
+    return run_cv(config, features, folds, [fold_id]).fold_results[0]
 
 
 # ---------------------------------------------------------------------------

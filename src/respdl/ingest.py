@@ -29,6 +29,7 @@ from .errors import (
 log = logging.getLogger(__name__)
 
 TARGET_RATE = 16000
+MIN_SAMPLE_RATE = 1000  # below ICBHI's lowest (4 kHz); a lower header rate is corrupt
 
 DIAGNOSES = (
     "Healthy",
@@ -205,9 +206,11 @@ def load_wav(path) -> AudioRecording:
     Supports 16/32-bit integer and 32-bit float samples, any channel count
     (channels are averaged). The original sample rate is preserved.
 
-    Raises FormatError for a malformed RIFF container, a data chunk that is
-    not a whole number of samples or holds none, and non-finite float
-    samples; UnsupportedError for codecs outside the supported set.
+    Raises FormatError for a malformed RIFF container, a sample rate below
+    ``MIN_SAMPLE_RATE`` (which would resample to many times the input), a
+    data chunk that is not a whole number of samples or holds none, and
+    non-finite float samples; UnsupportedError for codecs outside the
+    supported set.
     """
     path = Path(path)
     data = path.read_bytes()
@@ -236,8 +239,11 @@ def load_wav(path) -> AudioRecording:
     audio_format, n_channels, sample_rate, _, _, bits = fmt
     if audio_format == _WAVE_FORMAT_EXTENSIBLE:
         raise UnsupportedError(f"{path.name}: WAVE_FORMAT_EXTENSIBLE not supported")
-    if n_channels < 1 or sample_rate < 1:
+    if n_channels < 1:
         raise FormatError(f"{path.name}: invalid fmt fields")
+    if sample_rate < MIN_SAMPLE_RATE:
+        raise FormatError(f"{path.name}: sample rate {sample_rate} Hz is below "
+                          f"{MIN_SAMPLE_RATE} Hz")
 
     codec = _CODECS.get((audio_format, bits))
     if codec is None:
@@ -287,6 +293,18 @@ def write_wav(path, samples: np.ndarray, sample_rate: int) -> None:
 # ---------------------------------------------------------------------------
 
 
+def read_text(path) -> str:
+    """A UTF-8 text file's contents. A byte that is not UTF-8 is a
+    ParseError naming the file and the line the byte is on."""
+    data = Path(path).read_bytes()
+    try:
+        return data.decode()
+    except UnicodeDecodeError as exc:
+        line = data.count(b"\n", 0, exc.start) + 1
+        raise ParseError(f"byte 0x{data[exc.start]:02x} is not UTF-8", line=line,
+                         path=path) from None
+
+
 def parse_annotation(text: str) -> list[CycleLabel]:
     """Parse an ICBHI annotation body into labels ordered by onset.
 
@@ -321,16 +339,17 @@ def parse_annotation(text: str) -> list[CycleLabel]:
 def parse_diagnosis_file(path) -> dict[str, str]:
     """Read patient_id -> diagnosis lines (comma- or whitespace-separated)."""
     table = {}
-    for lineno, line in enumerate(Path(path).read_text().splitlines(), start=1):
+    for lineno, line in enumerate(read_text(path).splitlines(), start=1):
         line = line.strip()
         if not line or line.startswith("#"):
             continue
         parts = [p.strip() for p in (line.split(",") if "," in line else line.split())]
         if len(parts) != 2:
-            raise ParseError(f"expected 'patient_id,diagnosis', got {line!r}", line=lineno)
+            raise ParseError(f"expected 'patient_id,diagnosis', got {line!r}", line=lineno,
+                             path=path)
         pid, diag = parts
         if diag not in DIAGNOSES:
-            raise ParseError(f"unknown diagnosis {diag!r}", line=lineno)
+            raise ParseError(f"unknown diagnosis {diag!r}", line=lineno, path=path)
         table[pid] = diag
     return table
 
@@ -359,8 +378,8 @@ def build_manifest(audio_dir, diagnosis_file, task: str) -> DatasetManifest:
             manifest.rejects.append((stem, f"patient {patient_id} missing from diagnosis file"))
             continue
         try:
-            labels = parse_annotation(ann_path.read_text())
-        except (ParseError, UnicodeDecodeError) as exc:
+            labels = parse_annotation(read_text(ann_path))
+        except ParseError as exc:
             manifest.rejects.append((stem, f"annotation parse error: {exc}"))
             continue
         manifest.records.append(

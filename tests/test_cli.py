@@ -177,6 +177,23 @@ class TestExitCodes:
         assert err.startswith("data error:") and "Traceback" not in err
         assert not list(tmp_path.glob("runs/run_*"))
 
+    @pytest.mark.parametrize("flag,name,body,problem", [
+        ("--config", "bad.cfg", b"epochs=1\nlr=1e-3 # \xff\n", "byte 0xff is not UTF-8"),
+        ("--diagnosis-file", "diag.csv", b"101,Healthy\n102,Healthy\xff\n",
+         "byte 0xff is not UTF-8"),
+        ("--config", "bad.cfg", b"epochs=1\nlr\n", "expected key=value"),
+        ("--diagnosis-file", "diag.csv", b"101,Healthy\n102,Flu\n", "unknown diagnosis"),
+    ], ids=["config-non-utf8", "diagnosis-non-utf8", "config-syntax", "diagnosis-unknown"])
+    def test_bad_text_file_is_named_with_its_line(self, cli_dataset, tmp_path, capsys,
+                                                  flag, name, body, problem):
+        bad = _write_bytes(tmp_path / name, body)
+        code = run_cli("train", "--audio-dir", str(cli_dataset),
+                       "--diagnosis-file", str(cli_dataset / "diagnosis.csv"),
+                       "--out-dir", str(tmp_path / "runs"), flag, str(bad))
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith(f"data error: {bad}: line 2: {problem}")
+
     def test_too_few_entities_is_data_error(self, tmp_path):
         ingest.write_wav(tmp_path / "101_x.wav", np.zeros(2000), 16000)
         (tmp_path / "101_x.txt").write_text("0.0 0.1 0 0\n")

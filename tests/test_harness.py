@@ -504,10 +504,26 @@ class TestRunCV:
         assert isinstance(exc.stats, dsp.NormStats)
         assert any(k.endswith(".W") for k in exc.last_good)
 
-    def test_workers_run_one_blas_thread(self, synth_folds):
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_run_record_is_empty_after_run_cv(self, synth_features, synth_folds, monkeypatch,
+                                              jobs):
+        cfg = desk_config(model="ensemble", jobs=jobs,
+                          train=TrainConfig(epochs=1, batch_size=8, lr=1e-3, seed=13))
+        harness.run_cv(cfg, synth_features, synth_folds, fold_ids=[0])
+        assert harness._RUN == {}
+
+        def explode(*args, **kwargs):
+            raise NumericalError("non-finite values in predictions")
+
+        monkeypatch.setattr(harness, "train_loop", explode)
+        with pytest.raises(NumericalError):
+            harness.run_cv(cfg, synth_features, synth_folds, fold_ids=[0])
+        assert harness._RUN == {}
+
+    def test_workers_run_one_blas_thread(self):
         if getattr(harness._openblas(), "scipy_openblas_get_num_threads64_", None) is None:
             pytest.skip("numpy's OpenBLAS has no thread-count symbol")
-        with harness.member_pool(2, {}, synth_folds) as pool:
+        with harness.member_pool(2) as pool:
             assert list(pool.map(_blas_threads, range(2))) == [1, 1]
 
     def test_memory_cap_lowers_worker_count(self, synth_features, monkeypatch, caplog):
@@ -526,7 +542,7 @@ class TestRunCV:
     def test_worker_estimate_fits_measured_peaks(self):
         paper = dict(patch_width=128, train=TrainConfig(batch_size=50))
         cnn_moe = harness.worker_mb(desk_config(model="cnn_moe", **paper), {})
-        crnn = harness.worker_mb(desk_config(model="crnn", **paper), {})
+        crnn = harness.worker_mb(desk_config(model="crnn", gru_hidden=512, **paper), {})
         desk = harness.worker_mb(desk_config(model="ensemble"), {})
         assert 817 <= cnn_moe <= 1.1 * 817
         assert 1127 <= crnn <= 1.1 * 1127

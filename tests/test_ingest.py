@@ -86,6 +86,13 @@ class TestLoadWav:
         with pytest.raises(FormatError):
             ingest.load_wav(p)
 
+    def test_sample_rate_below_floor_rejected(self, tmp_path):
+        # 44.1 kHz with one zeroed header byte (0xAC44 -> 0x44) claims 68 Hz
+        p = tmp_path / "68hz.wav"
+        write_raw_wav(p, 1, 16, 1, 68, np.zeros(4, dtype="<i2").tobytes())
+        with pytest.raises(FormatError, match="68hz.wav: sample rate 68 Hz"):
+            ingest.load_wav(p)
+
     def test_unsupported_codec(self, tmp_path):
         p = tmp_path / "ulaw.wav"
         write_raw_wav(p, 7, 8, 1, 8000, b"\x00" * 100)  # mu-law
