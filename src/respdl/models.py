@@ -14,12 +14,20 @@ Every averaging step is one ``Mean`` layer: the global pool over both
 spatial axes, the drop of the one band the C-RNN front leaves, and the
 per-frame feature average.
 
-Both share ``Sequential``: a block is one ``Chain``, and the model a
+Both share ``Sequential``: a block is one ``ConvBlock``, a ``Chain`` of
+its layers that runs them as one fused pass each way, and the model a
 ``Chain`` of blocks, then head, then one softmax (``Classifier``), so its
 forward is row-stochastic; training enters the fused softmax+cross-entropy
-backward via ``backward(dlogits)``. A model's whole trained state is one
-name -> array dict, its parameters and batch-norm running statistics:
-``state()`` copies it out and ``load_state()`` checks and copies it back in.
+backward via ``backward(dlogits)``. Training through a block gives its
+layers' results bit for bit; inference applies each block's second batch
+normalization after its pooling, the same linear map up to float
+rounding on a smaller tensor. Between steps a model holds only its
+parameters, their gradients and the running statistics; a training
+forward leaves each layer's backward input in that layer's cache.
+
+A model's whole trained state is one name -> array dict, its parameters
+and batch-norm running statistics: ``state()`` copies it out and
+``load_state()`` checks and copies it back in.
 
 The layers are the only description of each architecture: the output
 shape of every block follows from them. Any patch width reuses the same
@@ -36,10 +44,8 @@ import numpy as np
 from .errors import FormatError, ParameterError, ShapeError
 from .nn.layers import (
     AvgPool2d,
-    BatchNorm2d,
-    Chain,
     Classifier,
-    Conv2d,
+    ConvBlock,
     Dense,
     Dropout,
     Layer,
@@ -114,10 +120,10 @@ class Sequential(Classifier):
     def _build_blocks(self, patch_width, dropout_rates, seed, dtype):
         """Set ``patch_width``, ``drop_rng`` (the one generator the model's
         ``Dropout`` layers draw from) and ``blocks``: per ``_SCHEDULE``
-        entry (out_ch, pooling layer maker or None), one ``Chain`` Bn - Cv -
-        Relu - Bn - [pool] - Dr, taking the previous block's channels and
-        the next dropout rate. Returns the generator that initialized them,
-        for the head."""
+        entry (out_ch, pooling layer maker or None), one ``ConvBlock`` Bn -
+        Cv - Relu - Bn - [pool] - Dr, taking the previous block's channels
+        and the next dropout rate. Returns the generator that initialized
+        them, for the head."""
         if len(dropout_rates) != 6:
             raise ParameterError(f"{self.name} takes six dropout rates")
         seeds = np.random.SeedSequence(seed).spawn(2)
@@ -126,15 +132,8 @@ class Sequential(Classifier):
         self.blocks = []
         in_ch = 1
         for i, ((out_ch, pool), p) in enumerate(zip(self._SCHEDULE, dropout_rates), start=1):
-            block = [
-                BatchNorm2d(in_ch, name=f"block{i}.bn_in", dtype=dtype),
-                Conv2d(in_ch, out_ch, *self._KERNEL, init_rng, name=f"block{i}.conv", dtype=dtype),
-                ReLU(name=f"block{i}.relu"),
-                BatchNorm2d(out_ch, name=f"block{i}.bn_out", dtype=dtype),
-            ]
-            if pool is not None:
-                block.append(pool())
-            self.blocks.append(Chain(*block, Dropout(p, self.drop_rng)))
+            self.blocks.append(ConvBlock(in_ch, out_ch, self._KERNEL, pool() if pool else None, p,
+                                         init_rng, self.drop_rng, f"block{i}", dtype))
             in_ch = out_ch
         return init_rng
 

@@ -9,6 +9,7 @@ from .layers import (
     BatchNorm2d,
     Chain,
     Conv2d,
+    ConvBlock,
     Dense,
     Dropout,
     Layer,
@@ -30,6 +31,7 @@ __all__ = [
     "BiGRU",
     "Chain",
     "Conv2d",
+    "ConvBlock",
     "Dense",
     "Dropout",
     "Layer",

@@ -90,12 +90,14 @@ def grad_check(layer, x, train=True, step=1e-5, sample=None, seed=0, targets=Non
 def standard_suite(step=1e-5, seed=0):
     """``grad_check`` over every layer kind used by the two architectures,
     softmax + cross-entropy through the fused backward, a conv -> relu
-    chain, and the composed CNN-MoE and C-RNN on reduced-width inputs.
+    chain, a fused conv block with each kind of pooling the models use,
+    and the composed CNN-MoE and C-RNN on reduced-width inputs.
 
     Returns rows of (name, max_rel_err, tolerance). Linear layers are held
     to 1e-8, nonlinear layers to 1e-4, the full models to 1e-3. One
-    generator draws every input and layer in row order; the last row, the
-    mixture of experts, changes no earlier row's draws.
+    generator draws every input and layer in row order; the rows after the
+    full models, the mixture of experts and the blocks, change no earlier
+    row's draws.
     """
     from .. import models
 
@@ -138,4 +140,10 @@ def standard_suite(step=1e-5, seed=0):
         run(name, model, rng.standard_normal((2, 64, 16)), 1e-3, sample=6,
             targets=np.eye(3)[rng.integers(0, 3, size=2)])
     run("moe", models.MoELayer(6, 4, 3, rng, dtype=f64), rng.standard_normal((5, 6)), 1e-4)
+    for name, kernel, pool in (("block_3x3_pool2x2", (3, 3), ly.AvgPool2d(2, 2)),
+                               ("block_3x3", (3, 3), None),
+                               ("block_3x3_mean", (3, 3), ly.Mean((1, 2))),
+                               ("block_4x1_pool4x1", (4, 1), ly.AvgPool2d(4, 1))):
+        block = ly.ConvBlock(2, 3, kernel, pool, 0.0, rng, rng, name, dtype=f64)
+        run(name, block, rng.standard_normal((2, 8, 4, 2)), 1e-4)
     return rows

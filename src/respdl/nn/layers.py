@@ -10,17 +10,22 @@ side for even kernels), so spatial dims change only at pooling layers.
 
 A layer built from other layers lists them in ``layers``; its parameters
 and buffers are its own plus its members', in member order. A ``Chain``
-runs its members forward in order and backward in reverse (a model's
-conv block is one); a ``Classifier`` is a chain ending in one softmax.
+runs its members forward in order and backward in reverse; a
+``Classifier`` is a chain ending in one softmax. A ``ConvBlock``, a
+model's conv block, is a chain of Bn - Cv - Relu - Bn - [pool] - Dr that
+runs them as one fused pass each way.
 
 The two costly layers keep their passes over full activation tensors few:
-a convolution is one GEMM over an im2col matrix forward; backward rebuilds
-the matrix from the padded input a training forward kept, then takes two
-GEMMs (weight gradient, and input gradient as col2im: per-tap columns,
-then one shifted add per tap); batch normalization is one per-channel
-affine map forward, and backward two per-channel reductions plus one
-per-channel affine combination of the output gradient and the re-centered
-input, built in place; it caches its input rather than a normalized copy.
+a convolution is one GEMM over an im2col matrix forward, into an output
+made before the matrix; backward rebuilds the matrix from the padded
+input a training forward kept, then takes two GEMMs (weight gradient, and
+input gradient as col2im: per-tap columns written over the matrix, then
+one shifted add per tap); batch normalization is one per-channel affine
+map forward, and backward two per-channel reductions plus one per-channel
+affine combination of the output gradient and the re-centered input,
+built in place; it caches its input rather than a normalized copy. Both
+can write into an array the caller gives: batch normalization its output,
+and the convolution reads a padded input the caller filled.
 
 What a layer's ``backward`` reads lives in one attribute, ``_cache``: a
 ``forward(x, train=True)`` stores it there, an inference forward stores
@@ -31,7 +36,10 @@ statistics. A ``backward`` with no training forward before it raises
 ``ParameterError`` naming the layer. There are two exceptions: dropout
 that drops nothing (inference, or rate 0) keeps nothing and is the
 identity both ways, and non-overlapping average pooling keeps nothing,
-as its backward needs only the gradient.
+as its backward needs only the gradient. A ``ConvBlock`` keeps no cache
+of its own: its members' caches hold everything, and its ReLU's cache is
+the rectified convolution output that its second batch normalization
+also caches as its input.
 """
 
 from __future__ import annotations
@@ -202,24 +210,49 @@ class Conv2d(Layer):
         self.name = name
 
     def _im2col(self, xp, h, w):
-        # rows are spatial positions, columns flatten (kh, kw, channels)
+        """A new im2col matrix: rows are spatial positions, columns flatten
+        (kh, kw, channels)."""
+        b, c = xp.shape[0], xp.shape[3]
         view = np.lib.stride_tricks.sliding_window_view(xp, (self.kh, self.kw), axis=(1, 2))
-        return view.transpose(0, 1, 2, 4, 5, 3).reshape(xp.shape[0] * h * w, -1)
+        cols = np.empty((b, h, w, self.kh, self.kw, c), dtype=xp.dtype)
+        np.copyto(cols, view.transpose(0, 1, 2, 4, 5, 3))
+        return cols.reshape(b * h * w, -1)
 
     def _wmat(self):
         return np.ascontiguousarray(
             self.w.data.transpose(0, 2, 3, 1).reshape(self.out_ch, -1)
         )
 
-    def forward(self, x, train=False):
+    def zero_bordered(self, shape, dtype):
+        """A new padded input for inputs of ``shape`` (B, H, W, in_ch), its
+        same-padding border zeroed, and the view of its interior, which the
+        caller fills with the input."""
+        b, h, w, c = shape
+        (top, bottom), (left, right) = self.pad_h, self.pad_w
+        xp = np.empty((b, top + h + bottom, left + w + right, c), dtype=dtype)
+        xp[:, :top] = 0
+        xp[:, top + h:] = 0
+        xp[:, :, :left] = 0
+        xp[:, :, left + w:] = 0
+        return xp, xp[:, top:top + h, left:left + w]
+
+    def forward(self, x, train=False, padded=None):
+        """``padded``, if given, is the array from ``zero_bordered`` whose
+        interior is ``x``: it is read in place rather than copied."""
         if x.ndim != 4 or x.shape[3] != self.in_ch:
             raise ShapeError(
                 f"{self.w.name}: expected (B,H,W,{self.in_ch}) input, got {x.shape}"
             )
         b, h, w, _ = x.shape
-        xp = np.pad(x, ((0, 0), self.pad_h, self.pad_w, (0, 0)))
-        out = self._im2col(xp, h, w) @ self._wmat().T + self.b.data
-        self._cache = (xp, (b, h, w)) if train else None
+        if padded is None:
+            padded, inside = self.zero_bordered(x.shape, x.dtype)
+            inside[...] = x
+        # the output is made before the columns, so that freeing them
+        # leaves no hole below an array that outlives them
+        out = np.empty((b * h * w, self.out_ch), dtype=padded.dtype)
+        np.matmul(self._im2col(padded, h, w), self._wmat().T, out=out)
+        out += self.b.data
+        self._cache = (padded, (b, h, w)) if train else None
         return out.reshape(b, h, w, self.out_ch)
 
     def backward(self, dout):
@@ -228,14 +261,15 @@ class Conv2d(Layer):
         del xp  # only the columns are read from here on: free it before the GEMMs
         dmat = dout.reshape(b * h * w, self.out_ch)
         dw = (dmat.T @ cols).reshape(self.out_ch, self.kh, self.kw, self.in_ch)
-        del cols  # its last reader: free it before dcols, as large, is made
         self.w.grad += dw.transpose(0, 3, 1, 2)
         self.b.grad += dmat.sum(axis=0)
 
         # col2im: one GEMM gives every input position's share of every
-        # kernel tap, then each tap is added back at its offset (taps that
-        # fall into the padding are dropped).
-        dcols = (dmat @ self._wmat()).reshape(b, h, w, self.kh, self.kw, self.in_ch)
+        # kernel tap, written over the columns it no longer needs, then
+        # each tap is added back at its offset (taps that fall into the
+        # padding are dropped).
+        dcols = np.matmul(dmat, self._wmat(), out=cols).reshape(
+            b, h, w, self.kh, self.kw, self.in_ch)
         dx = np.zeros((b, h, w, self.in_ch), dtype=dout.dtype)
         for i in range(self.kh):
             rows_out, rows_in = _tap_slices(i - self.pad_h[0], h)
@@ -246,6 +280,14 @@ class Conv2d(Layer):
 
     def params(self):
         return [self.w, self.b]
+
+
+def _cache_sized(a):
+    """Slices of ``a``'s leading axis, each about 1 MB: a chain of
+    elementwise operations run slice by slice passes over memory once
+    rather than once per operation, with the same values."""
+    step = max(1, (1 << 20) * len(a) // max(a.nbytes, 1))
+    return [slice(i, i + step) for i in range(0, len(a), step)]
 
 
 class BatchNorm2d(Layer):
@@ -259,7 +301,9 @@ class BatchNorm2d(Layer):
     Only train mode has a backward pass. Its cache holds the input itself,
     not a normalized copy: the backward pass re-centers it, takes two
     per-channel reductions and turns the centered copy in place into dx,
-    a per-channel affine combination of it and the output gradient.
+    a per-channel affine combination of it and the output gradient. The
+    affine map and that combination run over slices of about 1 MB, so each
+    chain of elementwise operations passes over memory once.
     Running stats are buffers, not trainable parameters, updated in place;
     inference warns while they still hold their initial zero mean and unit
     variance.
@@ -274,7 +318,9 @@ class BatchNorm2d(Layer):
         self.eps = eps
         self.momentum = momentum
 
-    def forward(self, x, train=False):
+    def forward(self, x, train=False, out=None):
+        """``out``, if given, is where the output is written: an array of
+        ``x``'s shape, or ``x`` itself in inference."""
         c = self.gamma.data.size
         if x.shape[-1] != c:
             raise ShapeError(
@@ -285,12 +331,12 @@ class BatchNorm2d(Layer):
             # per-sample partial sums first: float32 error grows with the
             # length of each sum, not with the whole batch
             mean = x.reshape(x.shape[0], -1, c).sum(axis=1).sum(axis=0) / n
-            out = np.subtract(x, mean)
-            flat = out.reshape(n, c)
+            centered = np.subtract(x, mean)
+            flat = centered.reshape(n, c)
             var = np.einsum("nc,nc->c", flat, flat) / n
             inv_std = 1.0 / np.sqrt(var + self.eps)
-            out *= self.gamma.data * inv_std
-            out += self.beta.data
+            scale, shift = self.gamma.data * inv_std, self.beta.data
+            source, out = centered, centered if out is None else out
             m = self.momentum
             self.running_mean[...] = m * self.running_mean + (1 - m) * mean
             self.running_var[...] = m * self.running_var + (1 - m) * var
@@ -301,8 +347,11 @@ class BatchNorm2d(Layer):
             mean = self.running_mean
             inv_std = 1.0 / np.sqrt(self.running_var + self.eps)
             scale = self.gamma.data * inv_std
-            out = np.multiply(x, scale)
-            out += self.beta.data - mean * scale
+            shift = self.beta.data - mean * scale
+            source, out = x, np.empty_like(x) if out is None else out
+        for rows in _cache_sized(x):
+            chunk = np.multiply(source[rows], scale, out=out[rows])
+            chunk += shift
         self._cache = (x, mean, inv_std) if train else None
         return out
 
@@ -318,10 +367,13 @@ class BatchNorm2d(Layer):
         self.beta.grad += sum_d
         k = self.gamma.data * inv_std
         # dx = k * (dout - mean(dout) - xhat * mean(dout * xhat))
-        dx *= -(inv_std * inv_std * sum_dx / n)
-        dx += dout
-        dx -= sum_d / n
-        dx *= k
+        coef, mean_d = -(inv_std * inv_std * sum_dx / n), sum_d / n
+        for rows in _cache_sized(dx):
+            chunk = dx[rows]
+            chunk *= coef
+            chunk += dout[rows]
+            chunk -= mean_d
+            chunk *= k
         return dx
 
     def params(self):
@@ -351,7 +403,12 @@ class ReLU(Layer):
 
 class AvgPool2d(Layer):
     """Non-overlapping average pooling over channels-last input; spatial
-    dims must divide the kernel."""
+    dims must divide the kernel.
+
+    Forward adds the kernel's taps as strided views in (row, column) order,
+    then divides once by their count; backward writes the scaled gradient
+    once through a broadcast view. Both give ``mean`` over the window axes
+    and its ``np.repeat`` gradient bit for bit."""
 
     def __init__(self, kh, kw):
         self.kh, self.kw = kh, kw
@@ -362,12 +419,19 @@ class AvgPool2d(Layer):
             raise ShapeError(
                 f"avgpool {self.kh}x{self.kw}: input {h}x{w} not divisible"
             )
-        return x.reshape(b, h // self.kh, self.kh, w // self.kw, self.kw, c).mean(axis=(2, 4))
+        windows = x.reshape(b, h // self.kh, self.kh, w // self.kw, self.kw, c)
+        taps = [windows[:, :, i, :, j] for i in range(self.kh) for j in range(self.kw)]
+        out = np.add(taps[0], taps[1]) if len(taps) > 1 else taps[0].copy()
+        for tap in taps[2:]:
+            out += tap
+        out /= len(taps)
+        return out
 
     def backward(self, dout):
-        scale = 1.0 / (self.kh * self.kw)
-        up = np.repeat(np.repeat(dout, self.kh, axis=1), self.kw, axis=2)
-        return up * scale
+        b, h, w, c = dout.shape
+        dx = np.empty((b, h, self.kh, w, self.kw, c), dtype=dout.dtype)
+        np.multiply(dout[:, :, None, :, None], 1.0 / (self.kh * self.kw), out=dx)
+        return dx.reshape(b, h * self.kh, w * self.kw, c)
 
 
 class Mean(Layer):
@@ -428,3 +492,66 @@ class Dropout(Layer):
         dx = dout * mask
         dx *= scale
         return dx
+
+
+class ConvBlock(Chain):
+    """One batch-normalized convolution block, Bn - Cv - Relu - Bn -
+    [pool] - Dr, run as one fused pass each way; iterating it yields those
+    members.
+
+    Each member that does its own work is called to do it, so the block
+    re-implements no batch normalization or convolution; it fuses only the
+    steps between them:
+
+    - ``bn_in`` writes its output straight into the interior of the
+      convolution's zero-bordered input, so no padded copy is made;
+    - the convolution's output, which nothing else holds, is rectified in
+      place; in training that one array is the cache of both ``relu`` (its
+      mask) and ``bn_out`` (its input);
+    - backward applies the ReLU mask in place to ``bn_out``'s returned
+      gradient.
+
+    Training gives the members' outputs and gradients bit for bit.
+    Inference applies ``bn_out``'s affine map after pooling rather than
+    before it: pooling is linear, so the map is the same up to float
+    rounding, on a tensor the pool has made smaller.
+
+    Between steps the block holds nothing but its members' parameters,
+    gradients and running statistics; each pass allocates what it needs.
+    """
+
+    def __init__(self, in_ch, out_ch, kernel, pool, p, init_rng, drop_rng, name,
+                 dtype=np.float32):
+        """``pool``: an ``AvgPool2d``, a ``Mean`` or None; ``p``: the dropout
+        rate, drawn from ``drop_rng``."""
+        self.bn_in = BatchNorm2d(in_ch, name=f"{name}.bn_in", dtype=dtype)
+        self.conv = Conv2d(in_ch, out_ch, *kernel, init_rng, name=f"{name}.conv", dtype=dtype)
+        self.relu = ReLU(name=f"{name}.relu")
+        self.bn_out = BatchNorm2d(out_ch, name=f"{name}.bn_out", dtype=dtype)
+        self.pool = pool
+        self.drop = Dropout(p, drop_rng)
+        members = (self.bn_in, self.conv, self.relu, self.bn_out, pool, self.drop)
+        super().__init__(*(layer for layer in members if layer is not None))
+
+    def forward(self, x, train=False):
+        padded, inside = self.conv.zero_bordered(x.shape, x.dtype)
+        self.bn_in.forward(x, train, out=inside)
+        y = self.conv.forward(inside, train, padded=padded)
+        np.maximum(y, 0.0, out=y)
+        self.relu._cache = y if train else None
+        if train:
+            out = self.bn_out.forward(y, train)
+            if self.pool is not None:
+                out = self.pool.forward(out, train)
+        else:
+            out = y if self.pool is None else self.pool.forward(y)
+            self.bn_out.forward(out, out=out)
+        return self.drop.forward(out, train)
+
+    def backward(self, dout):
+        d = self.drop.backward(dout)
+        if self.pool is not None:
+            d = self.pool.backward(d)
+        d = self.bn_out.backward(d)  # a new array: the mask applies in place
+        np.multiply(d, take_cache(self.relu) > 0, out=d)
+        return self.bn_in.backward(self.conv.backward(d))

@@ -55,11 +55,23 @@ class Adam:
         bc1 = 1.0 - b1**self.t
         bc2 = 1.0 - b2**self.t
         for p, m, v in zip(self.params, self.m, self.v):
+            # p.data -= lr * (m / bc1) / (sqrt(v / bc2) + eps), after the
+            # moment updates, with the same operations in the same order,
+            # computed in two temporaries
+            tmp = np.multiply(p.grad, 1 - b1)
             m *= b1
-            m += (1 - b1) * p.grad
+            m += tmp
+            np.square(p.grad, out=tmp)
+            tmp *= 1 - b2
             v *= b2
-            v += (1 - b2) * p.grad**2
-            p.data -= self.lr * (m / bc1) / (np.sqrt(v / bc2) + self.eps)
+            v += tmp
+            den = np.divide(v, bc2)
+            np.sqrt(den, out=den)
+            den += self.eps
+            np.divide(m, bc1, out=tmp)
+            tmp *= self.lr
+            tmp /= den
+            p.data -= tmp
 
     def zero_grad(self):
         for p in self.params:

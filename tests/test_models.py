@@ -7,7 +7,7 @@ from respdl import models
 from respdl.augment import MixupConfig
 from respdl.errors import ParameterError, ShapeError
 from respdl.harness import evaluate_entities, train_loop
-from respdl.nn import Layer, TrainConfig, softmax
+from respdl.nn import Chain, ConvBlock, Layer, TrainConfig, softmax
 
 from conftest import forward_shapes
 
@@ -267,3 +267,63 @@ class TestOverfitOracle:
                              early_stop_patience=2)
         assert max(accs) >= 0.95
         assert len(accs) <= 200
+
+
+def _chained(model):
+    """``model`` with each fused block swapped for a plain ``Chain`` of the
+    same members, which runs them one by one: the reference the fused
+    passes are held to."""
+    model.blocks = [Chain(*block) for block in model.blocks]
+    model.layers = (*model.blocks, *model.layers[len(model.blocks):])
+    return model
+
+
+DESK_MODELS = pytest.mark.parametrize("build", [
+    lambda: models.CNNMoE(4, patch_width=32, seed=3),
+    lambda: models.CRNN(4, patch_width=32, gru_hidden=64, seed=3),
+], ids=["cnn_moe", "crnn"])
+
+
+class TestConvBlock:
+    @staticmethod
+    def _data(rng, n=21):
+        x = rng.standard_normal((n, 64, 32)).astype(np.float32)
+        return x, np.eye(4, dtype=np.float32)[rng.integers(0, 4, n)]
+
+    @DESK_MODELS
+    def test_blocks_are_fused_and_iterate_over_their_members(self, build):
+        model = build()
+        for i, block in enumerate(model.blocks, start=1):
+            assert isinstance(block, ConvBlock)
+            members = list(block)
+            assert members[:4] == [block.bn_in, block.conv, block.relu, block.bn_out]
+            assert members[-1] is block.drop
+            assert [getattr(m, "name", None) for m in members[:4]] == [
+                f"block{i}.bn_in", f"block{i}.conv", f"block{i}.relu", f"block{i}.bn_out"]
+
+    @DESK_MODELS
+    def test_training_is_the_chained_members_bit_for_bit(self, build, rng):
+        x, y = self._data(rng)
+        cfg = TrainConfig(epochs=3, batch_size=8, lr=1e-3, seed=1)
+        fused, chained = build(), _chained(build())
+        runs = [train_loop(model, x, y, cfg, mixup_cfg=MixupConfig(alpha=0.2), seed=5)
+                for model in (fused, chained)]
+        assert repr(runs[0]) == repr(runs[1])  # histories and train accuracies
+        want = chained.state()
+        for name, data in fused.state().items():
+            np.testing.assert_array_equal(data, want[name], err_msg=name)
+
+    @DESK_MODELS
+    def test_inference_matches_the_chained_members(self, build, rng):
+        x, y = self._data(rng)
+        groups = {f"e{i:02d}": x[i:i + 3] for i in range(0, len(x), 3)}
+        cfg = TrainConfig(epochs=1, batch_size=8, lr=1e-3, seed=1)
+        fused, chained = build(), _chained(build())
+        for _ in range(2):  # training and inference passes alternate
+            for model in (fused, chained):
+                train_loop(model, x, y, cfg, seed=5)
+            # chunks of 8, 8 and 5 patches
+            got, want = (evaluate_entities(model, groups, batch_size=8)
+                         for model in (fused, chained))
+            for eid in groups:
+                np.testing.assert_allclose(got[eid], want[eid], rtol=0, atol=1e-6)

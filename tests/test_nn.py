@@ -16,6 +16,7 @@ from respdl.nn import (
     BiGRU,
     Chain,
     Conv2d,
+    ConvBlock,
     Dense,
     Dropout,
     Mean,
@@ -30,6 +31,7 @@ from respdl.nn import (
     save_checkpoint,
     softmax,
 )
+from respdl.nn import gradcheck
 
 F64 = np.float64
 
@@ -107,6 +109,16 @@ class TestLayerGradients:
         layer.forward(x, train=False)
         assert layer._cache is None  # the training pass's padded input is dropped too
 
+    @pytest.mark.parametrize("kh, kw", [(2, 2), (2, 1), (4, 1)])
+    def test_avgpool_is_the_window_mean_and_its_repeat_bit_for_bit(self, rng, kh, kw):
+        x = rng.standard_normal((3, 8, 6, 5), dtype=np.float32) * 7
+        layer = AvgPool2d(kh, kw)
+        out = layer.forward(x, train=True)
+        np.testing.assert_array_equal(out, x.reshape(3, 8 // kh, kh, 6 // kw, kw, 5).mean(axis=(2, 4)))
+        dout = rng.standard_normal(out.shape, dtype=np.float32)
+        up = np.repeat(np.repeat(dout, kh, axis=1), kw, axis=2)
+        np.testing.assert_array_equal(layer.backward(dout), up * (1.0 / (kh * kw)))
+
     def test_avgpool_constant_preserved(self):
         from respdl.nn import AvgPool2d
 
@@ -123,6 +135,28 @@ class TestLayerGradients:
 
         report = grad_check(Broken(5, 4, rng, dtype=F64), rng.standard_normal((3, 5)))
         assert report["max_rel_err"] > 0.2
+
+    def test_standard_suite_checks_every_layer_class_of_both_models(self, monkeypatch):
+        """Every layer class a built model reaches, its conv block included,
+        is checked by a row of its own or inside a smaller composite, not
+        only through the whole-model rows."""
+        checked = []
+        monkeypatch.setattr(gradcheck, "grad_check", lambda layer, x, **kwargs: (
+            checked.append(layer) or {"max_rel_err": 0.0, "per_tensor": {}}))
+        gradcheck.standard_suite()
+
+        def classes(layer):
+            yield type(layer)
+            for member in layer.layers:
+                yield from classes(member)
+
+        rows = {cls for layer in checked if not isinstance(layer, models.Sequential)
+                for cls in classes(layer)}
+        reached = {cls for name in ("cnn_moe", "crnn")
+                   for cls in classes(models.build_model(name, 4, patch_width=32, gru_hidden=8))
+                   if not issubclass(cls, models.Sequential)}
+        assert ConvBlock in reached
+        assert reached <= rows, f"no standard_suite row checks {reached - rows}"
 
 
 def _column_caching_conv_grads(layer, x, dout):
@@ -212,6 +246,18 @@ class TestConvCache:
         dw, db, want_dx = _column_caching_conv_grads(layer, x, dout)
         np.testing.assert_array_equal(layer.w.grad, dw)
         np.testing.assert_array_equal(layer.b.grad, db)
+        np.testing.assert_array_equal(dx, want_dx)
+
+    @CONV_KERNELS
+    def test_one_sample_of_one_channel(self, rng, kh, kw):
+        # the shape at which an im2col matrix could be a view of the padded input
+        layer = Conv2d(1, 4, kh, kw, rng)
+        x = rng.standard_normal((1, 8, 6, 1)).astype(np.float32)
+        dout = rng.standard_normal((1, 8, 6, 4)).astype(np.float32)
+        layer.forward(x, train=True)
+        dx = layer.backward(dout)
+        dw, db, want_dx = _column_caching_conv_grads(layer, x, dout)
+        np.testing.assert_array_equal(layer.w.grad, dw)
         np.testing.assert_array_equal(dx, want_dx)
 
 
@@ -334,6 +380,32 @@ class TestAdam:
             return p.data.copy()
 
         np.testing.assert_array_equal(run(), run())
+
+    def test_step_is_the_written_out_formula_bit_for_bit(self):
+        rng = np.random.default_rng(0)
+        shapes = [(4, 3, 3, 3), (7,), (5, 2)]
+        params = [Param(f"p{i}", rng.standard_normal(s, dtype=np.float32))
+                  for i, s in enumerate(shapes)]
+        want = [p.data.copy() for p in params]
+        m = [np.zeros_like(w) for w in want]
+        v = [np.zeros_like(w) for w in want]
+        lr, b1, b2, eps = 1e-3, 0.9, 0.999, 1e-8
+        adam = Adam(params, lr=lr, beta1=b1, beta2=b2, eps=eps)
+        for t in range(1, 13):
+            for p in params:
+                p.grad[...] = rng.standard_normal(p.shape, dtype=np.float32) * 10.0 ** (t % 5 - 3)
+            adam.step()
+            bc1, bc2 = 1.0 - b1**t, 1.0 - b2**t
+            for i, p in enumerate(params):
+                m[i] *= b1
+                m[i] += (1 - b1) * p.grad
+                v[i] *= b2
+                v[i] += (1 - b2) * p.grad**2
+                want[i] -= lr * (m[i] / bc1) / (np.sqrt(v[i] / bc2) + eps)
+            for i, p in enumerate(params):
+                np.testing.assert_array_equal(p.data, want[i])
+                np.testing.assert_array_equal(adam.m[i], m[i])
+                np.testing.assert_array_equal(adam.v[i], v[i])
 
     @staticmethod
     def _stepped():
