@@ -16,16 +16,18 @@ model's conv block, is a chain of Bn - Cv - Relu - Bn - [pool] - Dr that
 runs them as one fused pass each way.
 
 The two costly layers keep their passes over full activation tensors few:
-a convolution is one GEMM over an im2col matrix forward, into an output
-made before the matrix; backward rebuilds the matrix from the padded
-input a training forward kept, then takes two GEMMs (weight gradient, and
-input gradient as col2im: per-tap columns written over the matrix, then
-one shifted add per tap); batch normalization is one per-channel affine
-map forward, and backward two per-channel reductions plus one per-channel
-affine combination of the output gradient and the re-centered input,
-built in place; it caches its input rather than a normalized copy. Both
-can write into an array the caller gives: batch normalization its output,
-and the convolution reads a padded input the caller filled.
+a convolution's forward builds its im2col columns and runs their GEMM one
+block of samples (about 4 MB of columns) at a time, into rows of an output
+made first; backward builds the whole matrix from the padded input, then
+takes two GEMMs (weight gradient, and input gradient as col2im: per-tap
+columns written over the matrix, then one shifted add per tap); batch
+normalization is one per-channel affine map forward, and backward two
+per-channel reductions plus one per-channel affine combination of the
+output gradient and the re-centered input, built in place; it caches its
+input rather than a normalized copy, from which ``replay`` rebuilds its
+output. Both can write into an array the caller gives: batch
+normalization its output, and the convolution reads a padded input the
+caller filled, which then stays the caller's to hand back to backward.
 
 What a layer's ``backward`` reads lives in one attribute, ``_cache``: a
 ``forward(x, train=True)`` stores it there, an inference forward stores
@@ -37,9 +39,10 @@ statistics. A ``backward`` with no training forward before it raises
 that drops nothing (inference, or rate 0) keeps nothing and is the
 identity both ways, and non-overlapping average pooling keeps nothing,
 as its backward needs only the gradient. A ``ConvBlock`` keeps no cache
-of its own: its members' caches hold everything, and its ReLU's cache is
-the rectified convolution output that its second batch normalization
-also caches as its input.
+of its own: its members' caches hold everything, its ReLU's cache is the
+rectified convolution output that its second batch normalization also
+caches as its input, and its convolution keeps only its shapes: backward
+rebuilds the padded input from the first batch normalization's cache.
 """
 
 from __future__ import annotations
@@ -178,6 +181,38 @@ class Dense(Layer):
         return [self.w, self.b]
 
 
+def _row_blocks(n, row_bytes, block_bytes):
+    """Slices of ``range(n)`` for rows of ``row_bytes`` each, about
+    ``block_bytes`` of rows (at least one) per slice."""
+    step = max(1, block_bytes // max(row_bytes, 1))
+    return [slice(i, i + step) for i in range(0, n, step)]
+
+
+def _cache_sized(a):
+    """Slices of ``a``'s leading axis, each about 1 MB: a chain of
+    elementwise operations run slice by slice passes over memory once
+    rather than once per operation, with the same values."""
+    return _row_blocks(len(a), a[:1].nbytes, 1 << 20)
+
+
+def _affine_map(source, scale, shift, out, center=None):
+    """``out = (source - center) * scale + shift`` per channel (``source *
+    scale + shift`` without ``center``), over slices of about 1 MB: the one
+    map batch normalization applies, and rebuilds from its cache."""
+    for rows in _cache_sized(source):
+        if center is None:
+            chunk = np.multiply(source[rows], scale, out=out[rows])
+        else:
+            chunk = np.subtract(source[rows], center, out=out[rows])
+            chunk *= scale
+        chunk += shift
+
+
+# The im2col columns a convolution builds at once: its forward runs the
+# columns and their GEMM one block of samples at a time.
+_COLUMN_BLOCK_BYTES = 4 << 20
+
+
 def _tap_slices(offset, size):
     """(output positions, input positions) of a kernel tap that reads the
     input ``offset`` places away, over the outputs whose input lies inside
@@ -195,8 +230,16 @@ class Conv2d(Layer):
     dims get the extra padding on the trailing side. The input gradient is
     col2im (Caffe, Jia et al. 2014, arXiv:1408.5093): its GEMM is
     kh*kw*in_ch wide, where an im2col of the output gradient would be
-    kh*kw*out_ch wide. Training keeps the padded input, not the im2col
-    matrix, and backward rebuilds the matrix from it.
+    kh*kw*out_ch wide.
+
+    Forward builds the im2col matrix and runs its GEMM one block of
+    samples at a time, each block's rows written into one output: an
+    output row is the product of its own columns, so blocking changes no
+    bit. A training forward keeps the padded input (only the shapes, when
+    the caller gave the padded input), not the im2col matrix; backward
+    builds the whole matrix from it, as the weight-gradient GEMM reduces
+    over every position and splitting that reduction would change its
+    rounding.
     """
 
     def __init__(self, in_ch, out_ch, kh, kw, rng, name="conv", dtype=np.float32):
@@ -238,27 +281,37 @@ class Conv2d(Layer):
 
     def forward(self, x, train=False, padded=None):
         """``padded``, if given, is the array from ``zero_bordered`` whose
-        interior is ``x``: it is read in place rather than copied."""
+        interior is ``x``: it is read in place rather than copied, and it
+        stays the caller's, so a training forward keeps only the shapes and
+        the caller hands the same values to ``backward``."""
         if x.ndim != 4 or x.shape[3] != self.in_ch:
             raise ShapeError(
                 f"{self.w.name}: expected (B,H,W,{self.in_ch}) input, got {x.shape}"
             )
         b, h, w, _ = x.shape
-        if padded is None:
+        own = padded is None
+        if own:
             padded, inside = self.zero_bordered(x.shape, x.dtype)
             inside[...] = x
         # the output is made before the columns, so that freeing them
         # leaves no hole below an array that outlives them
         out = np.empty((b * h * w, self.out_ch), dtype=padded.dtype)
-        np.matmul(self._im2col(padded, h, w), self._wmat().T, out=out)
-        out += self.b.data
-        self._cache = (padded, (b, h, w)) if train else None
+        wmat_t = self._wmat().T
+        sample_bytes = h * w * self.kh * self.kw * self.in_ch * padded.itemsize
+        for s in _row_blocks(b, sample_bytes, _COLUMN_BLOCK_BYTES):
+            rows = out[s.start * h * w:s.stop * h * w]
+            np.matmul(self._im2col(padded[s], h, w), wmat_t, out=rows)
+            rows += self.b.data
+        self._cache = (padded if own else None, (b, h, w)) if train else None
         return out.reshape(b, h, w, self.out_ch)
 
-    def backward(self, dout):
-        xp, (b, h, w) = take_cache(self)
-        cols = self._im2col(xp, h, w)
-        del xp  # only the columns are read from here on: free it before the GEMMs
+    def backward(self, dout, padded=None):
+        """``padded``: the padded input, given again where the training
+        forward was given it; the caller should hold no other reference,
+        as it is freed once the columns are built."""
+        kept, (b, h, w) = take_cache(self)
+        cols = self._im2col(padded if kept is None else kept, h, w)
+        del kept, padded  # only the columns are read from here on: free it before the GEMMs
         dmat = dout.reshape(b * h * w, self.out_ch)
         dw = (dmat.T @ cols).reshape(self.out_ch, self.kh, self.kw, self.in_ch)
         self.w.grad += dw.transpose(0, 3, 1, 2)
@@ -280,14 +333,6 @@ class Conv2d(Layer):
 
     def params(self):
         return [self.w, self.b]
-
-
-def _cache_sized(a):
-    """Slices of ``a``'s leading axis, each about 1 MB: a chain of
-    elementwise operations run slice by slice passes over memory once
-    rather than once per operation, with the same values."""
-    step = max(1, (1 << 20) * len(a) // max(a.nbytes, 1))
-    return [slice(i, i + step) for i in range(0, len(a), step)]
 
 
 class BatchNorm2d(Layer):
@@ -349,11 +394,15 @@ class BatchNorm2d(Layer):
             scale = self.gamma.data * inv_std
             shift = self.beta.data - mean * scale
             source, out = x, np.empty_like(x) if out is None else out
-        for rows in _cache_sized(x):
-            chunk = np.multiply(source[rows], scale, out=out[rows])
-            chunk += shift
+        _affine_map(source, scale, shift, out)
         self._cache = (x, mean, inv_std) if train else None
         return out
+
+    def replay(self, out):
+        """Write the output of the training forward whose cache the layer
+        holds into ``out``, bit for bit, and keep the cache for backward."""
+        x, mean, inv_std = self._cache
+        _affine_map(x, self.gamma.data * inv_std, self.beta.data, out, center=mean)
 
     def backward(self, dout):
         x, mean, inv_std = take_cache(self)
@@ -505,6 +554,11 @@ class ConvBlock(Chain):
 
     - ``bn_in`` writes its output straight into the interior of the
       convolution's zero-bordered input, so no padded copy is made;
+    - that input is not kept: backward rebuilds it from ``bn_in``'s cache
+      through the same affine map (``BatchNorm2d.replay``) and hands it to
+      the convolution as its only reference, so it lives only until the
+      convolution's im2col (Chen et al. 2016, arXiv:1604.06174, trade a
+      recomputation for memory);
     - the convolution's output, which nothing else holds, is rectified in
       place; in training that one array is the cache of both ``relu`` (its
       mask) and ``bn_out`` (its input);
@@ -537,6 +591,7 @@ class ConvBlock(Chain):
         padded, inside = self.conv.zero_bordered(x.shape, x.dtype)
         self.bn_in.forward(x, train, out=inside)
         y = self.conv.forward(inside, train, padded=padded)
+        del padded, inside  # freed before bn_out's arrays: backward rebuilds it
         np.maximum(y, 0.0, out=y)
         self.relu._cache = y if train else None
         if train:
@@ -554,4 +609,12 @@ class ConvBlock(Chain):
             d = self.pool.backward(d)
         d = self.bn_out.backward(d)  # a new array: the mask applies in place
         np.multiply(d, take_cache(self.relu) > 0, out=d)
-        return self.bn_in.backward(self.conv.backward(d))
+        # the rebuilt input is passed as the conv's only reference to it
+        return self.bn_in.backward(self.conv.backward(d, padded=self._conv_input(d)))
+
+    def _conv_input(self, dout):
+        """The conv's zero-bordered input for the output gradient ``dout``,
+        rebuilt from ``bn_in``'s cache as the training forward built it."""
+        padded, inside = self.conv.zero_bordered((*dout.shape[:3], self.conv.in_ch), dout.dtype)
+        self.bn_in.replay(inside)
+        return padded

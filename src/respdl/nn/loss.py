@@ -21,7 +21,7 @@ def l2_penalty(params, lam: float) -> float:
     total = 0.0
     for p in params:
         if p.decay:
-            total += float((p.data.astype(np.float64) ** 2).sum())
+            total += float(np.square(p.data, dtype=np.float64).sum())
     return 0.5 * lam * total
 
 

@@ -7,7 +7,7 @@ from respdl import models
 from respdl.augment import MixupConfig
 from respdl.errors import ParameterError, ShapeError
 from respdl.harness import evaluate_entities, train_loop
-from respdl.nn import Chain, ConvBlock, Layer, TrainConfig, softmax
+from respdl.nn import Chain, Conv2d, ConvBlock, Layer, TrainConfig, softmax
 
 from conftest import forward_shapes
 
@@ -151,10 +151,30 @@ def _all_layers(layer):
         yield from _all_layers(member)
 
 
-def _holding_activations(model):
-    """Names of the layers that hold an activation for a backward pass."""
-    return {getattr(layer, "name", type(layer).__name__)
-            for layer in _all_layers(model) if layer._cache is not None}
+def _cache_arrays(cache):
+    """The arrays in a layer's cache, however nested."""
+    if isinstance(cache, np.ndarray):
+        return [cache]
+    if isinstance(cache, (tuple, list)):
+        return [a for item in cache for a in _cache_arrays(item)]
+    return []
+
+
+def _caching(model, arrays=False):
+    """Names of the layers that hold a cache for a backward pass (with
+    ``arrays``, only those whose cache holds an array)."""
+    return {getattr(layer, "name", type(layer).__name__) for layer in _all_layers(model)
+            if layer._cache is not None and (not arrays or _cache_arrays(layer._cache))}
+
+
+def _cache_bytes(model):
+    """Bytes of the arrays in every layer's cache, each buffer counted once."""
+    bases = {}
+    for layer in _all_layers(model):
+        for a in _cache_arrays(layer._cache):
+            base = a if a.base is None else a.base
+            bases[id(base)] = base.nbytes
+    return sum(bases.values())
 
 
 # each tiny model, with its head layers that cache, the last one first
@@ -172,15 +192,31 @@ class TestActivationLifetime:
         x = rng.standard_normal((6, 64, 32)).astype(np.float32)
         y = np.eye(4, dtype=np.float32)[[0, 1, 2, 3, 0, 1]]
         model.forward(x, train=True)  # the walk below sees every cache
-        assert {"block1.conv", "block1.bn_in", "block1.relu", "Dropout", *head} <= \
-            _holding_activations(model)
+        assert {"block1.bn_in", "block1.relu", "Dropout", *head} <= _caching(model, arrays=True)
+        # a block's conv keeps only its shapes: backward rebuilds its input
+        assert "block1.conv" in _caching(model) - _caching(model, arrays=True)
 
         model = build()
         cfg = TrainConfig(epochs=1, batch_size=6, lr=1e-3, seed=1)
         train_loop(model, x, y, cfg, mixup_cfg=MixupConfig(alpha=0.2))
-        assert _holding_activations(model) == set()
+        assert _caching(model) == set()
         evaluate_entities(model, {"a": x[:2], "b": x[2:]})
-        assert _holding_activations(model) == set()
+        assert _caching(model) == set()
+
+    @TINY_MODELS
+    def test_blocks_keep_all_but_their_padded_inputs(self, build, head, rng):
+        # members run one by one keep what the fused blocks kept before they
+        # rebuilt the conv input in backward: a standalone conv keeps its own
+        x = rng.standard_normal((6, 64, 32)).astype(np.float32)
+        fused, chained = build(), _chained(build())
+        for model in (fused, chained):
+            model.forward(x, train=True)
+        convs = [layer for block in chained.blocks for layer in block
+                 if isinstance(layer, Conv2d)]
+        padded = [conv._cache[0] for conv in convs]
+        assert len(padded) == len(fused.blocks)
+        assert all(isinstance(a, np.ndarray) and a.base is None for a in padded)
+        assert _cache_bytes(fused) == _cache_bytes(chained) - sum(a.nbytes for a in padded)
 
     @TINY_MODELS
     def test_backward_after_inference_names_the_layer(self, build, head, rng):

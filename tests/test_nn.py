@@ -32,6 +32,7 @@ from respdl.nn import (
     softmax,
 )
 from respdl.nn import gradcheck
+from respdl.nn.layers import _COLUMN_BLOCK_BYTES
 
 F64 = np.float64
 
@@ -159,6 +160,20 @@ class TestLayerGradients:
         assert reached <= rows, f"no standard_suite row checks {reached - rows}"
 
 
+def _one_shot_columns(layer, x):
+    """The whole im2col matrix of ``layer`` at ``x`` in one copy: a row per
+    output position, its (kh, kw, channel) window flattened."""
+    b, h, w, _ = x.shape
+    xp = np.pad(x, ((0, 0), layer.pad_h, layer.pad_w, (0, 0)))
+    windows = np.lib.stride_tricks.sliding_window_view(xp, (layer.kh, layer.kw), axis=(1, 2))
+    return np.ascontiguousarray(windows.transpose(0, 1, 2, 4, 5, 3)).reshape(b * h * w, -1)
+
+
+def _weight_matrix(layer):
+    """The kernel as (out_ch, kh * kw * in_ch), in the columns' order."""
+    return np.ascontiguousarray(layer.w.data.transpose(0, 2, 3, 1).reshape(layer.out_ch, -1))
+
+
 def _column_caching_conv_grads(layer, x, dout):
     """(dW, db, dx) of ``layer`` at ``x`` and output gradient ``dout``, as a
     convolution that keeps its forward's im2col columns gets them: the same
@@ -166,10 +181,10 @@ def _column_caching_conv_grads(layer, x, dout):
     gradient."""
     b, h, w, _ = x.shape
     kh, kw = layer.kh, layer.kw
-    cols = layer._im2col(np.pad(x, ((0, 0), layer.pad_h, layer.pad_w, (0, 0))), h, w)
+    cols = _one_shot_columns(layer, x)
     dmat = dout.reshape(b * h * w, layer.out_ch)
     dw = (dmat.T @ cols).reshape(layer.out_ch, kh, kw, layer.in_ch).transpose(0, 3, 1, 2)
-    dcols = (dmat @ layer._wmat()).reshape(b, h, w, kh, kw, layer.in_ch)
+    dcols = (dmat @ _weight_matrix(layer)).reshape(b, h, w, kh, kw, layer.in_ch)
     dx = np.zeros_like(x)
     for i in range(kh):
         for j in range(kw):
@@ -259,6 +274,31 @@ class TestConvCache:
         dw, db, want_dx = _column_caching_conv_grads(layer, x, dout)
         np.testing.assert_array_equal(layer.w.grad, dw)
         np.testing.assert_array_equal(dx, want_dx)
+
+
+class TestConvSampleBlocks:
+    # (kernel, in_ch, h, w): about 1.5 MB of columns per sample, so two
+    # samples to a block, and seven samples make four blocks, the last of one
+    @pytest.mark.parametrize("kh, kw, in_ch, h, w", [(3, 3, 40, 32, 32), (4, 1, 48, 64, 32)],
+                             ids=["3x3", "4x1"])
+    def test_blocked_passes_equal_one_shot_gemms_bit_for_bit(self, rng, kh, kw, in_ch, h, w):
+        b, out_ch = 7, 16
+        step = _COLUMN_BLOCK_BYTES // (h * w * kh * kw * in_ch * 4)
+        assert b > 2 * step and b % step  # at least three blocks, the last one ragged
+        layer = Conv2d(in_ch, out_ch, kh, kw, rng)
+        layer.b.data[:] = rng.standard_normal(out_ch)
+        x = rng.standard_normal((b, h, w, in_ch)).astype(np.float32)
+        dout = rng.standard_normal((b, h, w, out_ch)).astype(np.float32)
+        want = _one_shot_columns(layer, x) @ _weight_matrix(layer).T + layer.b.data
+
+        out = layer.forward(x, train=True)
+        dx = layer.backward(dout)
+        np.testing.assert_array_equal(out.reshape(-1, out_ch), want)
+        dw, db, want_dx = _column_caching_conv_grads(layer, x, dout)
+        np.testing.assert_array_equal(layer.w.grad, dw)
+        np.testing.assert_array_equal(layer.b.grad, db)
+        np.testing.assert_array_equal(dx, want_dx)
+        np.testing.assert_array_equal(layer.forward(x).reshape(-1, out_ch), want)
 
 
 class TestMean:
