@@ -38,9 +38,7 @@ CONFIG_HELP = {
     "fold_seed": "seed for the fold assignment",
     "patient_independent": "assign whole patients to folds (true/false)",
     "mixup": "enable mixup augmentation (true/false)",
-    "mixup_alpha": "Beta distribution parameter for mixup",
     "gru_hidden": "bi-GRU hidden size per direction",
-    "moe_experts": "number of experts in the MoE layer",
     "select": "checkpoint selection: best held-out epoch or final",
     "early_stop_acc": "stop once train accuracy holds at this level (0 disables)",
     "early_stop_patience": "consecutive epochs above early_stop_acc before stopping",
@@ -53,9 +51,6 @@ CONFIG_HELP = {
     "epochs": "training epochs",
     "batch_size": "mini-batch size",
     "lr": "Adam learning rate",
-    "beta1": "Adam first-moment decay",
-    "beta2": "Adam second-moment decay",
-    "eps": "Adam epsilon",
     "l2_lambda": "L2 penalty weight",
     "seed": "training seed (init, shuffling, dropout, mixup)",
 }

@@ -82,9 +82,7 @@ class ExperimentConfig:
     fold_seed: int = 7
     patient_independent: bool = False
     mixup: bool = True
-    mixup_alpha: float = 0.2
     gru_hidden: int = 512
-    moe_experts: int = 10
     select: str = "best"
     early_stop_acc: float = 0.0
     early_stop_patience: int = 3
@@ -115,10 +113,6 @@ class ExperimentConfig:
             raise ParameterError("jobs must be >= 1")
         if self.early_stop_patience < 1:
             raise ParameterError("early_stop_patience must be >= 1")
-        if self.mixup_alpha <= 0:
-            raise ParameterError("mixup_alpha must be > 0")
-        if self.moe_experts < 1:
-            raise ParameterError("moe_experts must be >= 1")
         if self.gru_hidden < 1:
             raise ParameterError("gru_hidden must be >= 1")
         return self
@@ -131,6 +125,8 @@ class ExperimentConfig:
 _TRAIN_KEYS = tuple(f.name for f in fields(TrainConfig))
 CONFIG_KEYS = tuple(f.name for f in fields(ExperimentConfig) if f.name != "train") + _TRAIN_KEYS
 EXECUTION_KEYS = ("jobs", "out_dir")
+# constants that were once config keys; older checkpoint headers hold them
+RETIRED_KEYS = ("beta1", "beta2", "eps", "mixup_alpha", "moe_experts")
 IDENTITY_KEYS = tuple(key for key in CONFIG_KEYS if key not in EXECUTION_KEYS)
 
 
@@ -191,8 +187,7 @@ _MEMBER_KEYS = ("member", "fold", "norm_mean", "norm_std")
 def build_member(config: ExperimentConfig, name: str, seed=0, dtype=np.float32):
     """An untrained ``name`` model ("cnn_moe" or "crnn") sized by ``config``."""
     return models.build_model(name, config.n_classes, patch_width=config.patch_width,
-                              seed=seed, gru_hidden=config.gru_hidden,
-                              n_experts=config.moe_experts, dtype=dtype)
+                              seed=seed, gru_hidden=config.gru_hidden, dtype=dtype)
 
 
 @dataclass
@@ -221,15 +216,15 @@ def load_fold_checkpoint(path) -> FoldCheckpoint:
     """Read a checkpoint written by ``save_fold_checkpoint`` and rebuild its
     model. A header field that is missing, unknown or unparsable, or a
     parameter or buffer that is missing or mis-shaped, is a FormatError.
-    Execution keys, which headers written before they left the run identity
-    still hold, are ignored."""
+    Execution and retired keys, which headers written before they left the
+    run identity still hold, are ignored."""
     header, arrays = load_checkpoint(path)
     values = dict(line.partition("=")[::2] for line in header.splitlines())
     missing = [key for key in IDENTITY_KEYS + _MEMBER_KEYS if key not in values]
     if missing:
         raise FormatError(f"{path}: checkpoint header lacks {', '.join(missing)}")
     member = {key: values.pop(key) for key in _MEMBER_KEYS}
-    for key in EXECUTION_KEYS:
+    for key in EXECUTION_KEYS + RETIRED_KEYS:
         values.pop(key, None)
     try:
         config = config_from_dict(values)
@@ -409,7 +404,7 @@ class TrainState:
         """A fresh record, its shuffle and mixup generators seeded from
         ``seed``; with a ``score_fn``, the untrained state is the best
         until an epoch scores."""
-        adam = Adam(model.params(), lr=cfg.lr, beta1=cfg.beta1, beta2=cfg.beta2, eps=cfg.eps)
+        adam = Adam(model.params(), lr=cfg.lr)
         rngs = (np.random.default_rng(s) for s in np.random.SeedSequence(seed).spawn(2))
         return cls(model, adam, *rngs, model.drop_rng, score_fn,
                    best_state=model.state() if score_fn is not None else None)
@@ -590,7 +585,7 @@ def train_member(config: ExperimentConfig, fold_id: int, name: str,
     try:
         history, _ = train_loop(
             model, inputs.x, inputs.y, config.train,
-            mixup_cfg=MixupConfig(alpha=config.mixup_alpha, enabled=config.mixup),
+            mixup_cfg=MixupConfig(enabled=config.mixup),
             early_stop_acc=config.early_stop_acc,
             early_stop_patience=config.early_stop_patience, state=state)
     except NumericalError as exc:

@@ -17,19 +17,14 @@ class TrainConfig:
     epochs: int = 100
     batch_size: int = 50
     lr: float = 1e-4
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     l2_lambda: float = 1e-4
     seed: int = 0
 
     def __post_init__(self):
         if self.epochs < 1 or self.batch_size < 1:
             raise ParameterError("epochs and batch_size must be positive")
-        if self.lr <= 0 or self.eps <= 0:
-            raise ParameterError("lr and eps must be positive")
-        if not (0 <= self.beta1 < 1 and 0 <= self.beta2 < 1):
-            raise ParameterError("betas must lie in [0, 1)")
+        if self.lr <= 0:
+            raise ParameterError("lr must be positive")
         if self.l2_lambda < 0:
             raise ParameterError("l2_lambda must be nonnegative")
         if self.seed < 0:
@@ -37,7 +32,9 @@ class TrainConfig:
 
 
 class Adam:
-    """Standard Adam with bias correction; deterministic given its inputs."""
+    """Standard Adam with bias correction; deterministic given its inputs.
+    Training sets only ``lr``; the defaults of beta1, beta2 and eps are the
+    protocol's constants."""
 
     def __init__(self, params, lr=1e-4, beta1=0.9, beta2=0.999, eps=1e-8):
         self.params = list(params)

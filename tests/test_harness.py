@@ -187,6 +187,32 @@ class TestFoldCheckpoint:
         assert ckpt.config == cfg
         assert ckpt.config.jobs == harness.usable_cores()
 
+    def test_header_with_retired_keys_still_loads(self, tmp_path):
+        # headers written while these constants were config keys
+        path = tmp_path / "m.rsdl"
+        cfg, model, _ = _saved_member(path, "cnn_moe")
+        header, arrays = load_checkpoint(path)
+        retired = "beta1=0.9\nbeta2=0.999\neps=1e-08\nmixup_alpha=0.2\nmoe_experts=10\n"
+        save_checkpoint(path, retired + header, arrays)
+        ckpt = harness.load_fold_checkpoint(path)
+        assert ckpt.config == cfg
+        for name, data in model.state().items():
+            np.testing.assert_array_equal(ckpt.model.state()[name], data)
+
+    def test_header_with_other_expert_count_is_format_error(self, tmp_path):
+        # the expert count is read from the constant, not the header, so a
+        # 4-expert state fails the 10-expert model's shape check
+        path = tmp_path / "m.rsdl"
+        cfg = desk_config(k=4, fold_seed=3)
+        model = models.build_model("cnn_moe", cfg.n_classes, patch_width=cfg.patch_width,
+                                   n_experts=4)
+        harness.save_fold_checkpoint(path, cfg, "cnn_moe", 2, dsp.NormStats(0.0, 1.0),
+                                     model.state())
+        header, arrays = load_checkpoint(path)
+        save_checkpoint(path, "moe_experts=4\n" + header, arrays)
+        with pytest.raises(FormatError, match=re.escape("moe.experts.W: state shape")):
+            harness.load_fold_checkpoint(path)
+
     @pytest.mark.parametrize("name,shape", [
         ("block1.bn_in.running_var", None),
         ("block2.bn_in.running_mean", (7,)),  # C-RNN expects (64,)

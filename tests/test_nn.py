@@ -7,7 +7,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from respdl import models
+from respdl import harness, models
+from respdl.augment import MixupConfig
 from respdl.errors import FormatError, NumericalError, ParameterError, ShapeError
 from respdl.nn import (
     Adam,
@@ -747,8 +748,13 @@ class TestTrainingInvariants:
         assert cfg.epochs == 100
         assert cfg.batch_size == 50
         assert cfg.lr == 1e-4
-        assert (cfg.beta1, cfg.beta2, cfg.eps) == (0.9, 0.999, 1e-8)
         assert cfg.l2_lambda == 1e-4
+        # the constants no config key sets live where they are used
+        adam = Adam([Param("w", np.zeros(1))])
+        assert (adam.beta1, adam.beta2, adam.eps) == (0.9, 0.999, 1e-8)
+        assert MixupConfig().alpha == 0.2
+        member = harness.build_member(harness.ExperimentConfig(patch_width=32), "cnn_moe")
+        assert member.moe.expert_w.data.shape[0] == 10
 
     def test_decay_flags(self):
         m = models.CNNMoE(4, patch_width=32, seed=0)
