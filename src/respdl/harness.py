@@ -632,9 +632,9 @@ def _mean_metrics(per_fold: list[Metrics]) -> Metrics:
 # the single-model peaks of tests/test_harness.py's WORKER_PEAK_PROTOCOL when
 # convs kept their padded input, 0.82 GB (CNN-MoE) and 1.13 GB (C-RNN) at
 # batch 50 x width 128 and 0.26 GB at the desk batch 8 x width 32. Since conv
-# blocks rebuild that input in backward and block their forward columns, the
-# protocol peaks at 0.76, 1.08 and 0.16 GB (2 BLAS threads; 0.74, 1.05 and
-# 0.15 GB at 1). The worker's fold patches (float32, 64 bands) come on top.
+# backward also builds no whole im2col matrix, the protocol peaks at 0.57,
+# 0.96 and 0.16 GB (2 BLAS threads; 0.56, 0.95 and 0.15 GB at 1). The
+# worker's fold patches (float32, 64 bands) come on top.
 _WORKER_BASE_MB = 245.0
 _WORKER_MB_PER_BATCH_FRAME = {"cnn_moe": 0.096, "crnn": 0.147}
 

@@ -18,16 +18,18 @@ runs them as one fused pass each way.
 The two costly layers keep their passes over full activation tensors few:
 a convolution's forward builds its im2col columns and runs their GEMM one
 block of samples (about 4 MB of columns) at a time, into rows of an output
-made first; backward builds the whole matrix from the padded input, then
-takes two GEMMs (weight gradient, and input gradient as col2im: per-tap
-columns written over the matrix, then one shifted add per tap); batch
-normalization is one per-channel affine map forward, and backward two
-per-channel reductions plus one per-channel affine combination of the
-output gradient and the re-centered input, built in place; it caches its
-input rather than a normalized copy, from which ``replay`` rebuilds its
-output. Both can write into an array the caller gives: batch
-normalization its output, and the convolution reads a padded input the
-caller filled, which then stays the caller's to hand back to backward.
+made first; backward never builds the whole matrix: it takes the weight
+gradient one group of kernel taps at a time (about 64 MB of columns, one
+GEMM over every position each) and the input gradient as col2im one block
+of samples at a time (about 16 MB of per-tap columns from one GEMM, then
+one shifted add per tap); batch normalization is one per-channel affine
+map forward, and backward two per-channel reductions plus one per-channel
+affine combination of the output gradient and the re-centered input,
+built in place; it caches its input rather than a normalized copy, from
+which ``replay`` rebuilds its output. Both can write into an array the
+caller gives: batch normalization its output, and the convolution reads a
+padded input the caller filled, which then stays the caller's to hand
+back to backward.
 
 What a layer's ``backward`` reads lives in one attribute, ``_cache``: a
 ``forward(x, train=True)`` stores it there, an inference forward stores
@@ -209,8 +211,22 @@ def _affine_map(source, scale, shift, out, center=None):
 
 
 # The im2col columns a convolution builds at once: its forward runs the
-# columns and their GEMM one block of samples at a time.
+# columns and their GEMM one block of samples at a time, its backward the
+# weight gradient one group of kernel taps (every position) and the input
+# gradient one block of samples (every tap) at a time.
 _COLUMN_BLOCK_BYTES = 4 << 20
+_TAP_GROUP_BYTES = 64 << 20
+_DX_BLOCK_BYTES = 16 << 20
+
+
+def _spans(n, step, least):
+    """Slices of ``range(n)``, ``step`` long (at least ``least``), a ragged
+    last one shorter than ``least`` joined to the one before."""
+    step = max(step, least)
+    starts = list(range(0, n, step))
+    if len(starts) > 1 and n - starts[-1] < least:
+        starts.pop()
+    return [slice(a, b) for a, b in zip(starts, [*starts[1:], n])]
 
 
 def _tap_slices(offset, size):
@@ -236,10 +252,16 @@ class Conv2d(Layer):
     samples at a time, each block's rows written into one output: an
     output row is the product of its own columns, so blocking changes no
     bit. A training forward keeps the padded input (only the shapes, when
-    the caller gave the padded input), not the im2col matrix; backward
-    builds the whole matrix from it, as the weight-gradient GEMM reduces
-    over every position and splitting that reduction would change its
-    rounding.
+    the caller gave the padded input), not the im2col matrix, and backward
+    never builds the whole matrix from it. The weight-gradient GEMM
+    reduces over every position, and splitting that reduction would change
+    its rounding, so backward splits the columns instead: one group of
+    kernel taps at a time, each group's columns one copy of the window
+    view and one GEMM over every position into its own columns of the
+    gradient. The input-gradient GEMM is row-wise, so it runs one block of
+    samples at a time, over every tap, each block's col2im adding into
+    that block's rows of the input gradient. Both give the bits of the
+    whole-matrix GEMMs.
     """
 
     def __init__(self, in_ch, out_ch, kh, kw, rng, name="conv", dtype=np.float32):
@@ -252,14 +274,28 @@ class Conv2d(Layer):
         self.pad_w = ((kw - 1) // 2, kw - 1 - (kw - 1) // 2)
         self.name = name
 
-    def _im2col(self, xp, h, w):
+    def _im2col(self, xp, h, w, taps=(slice(None), slice(None))):
         """A new im2col matrix: rows are spatial positions, columns flatten
-        (kh, kw, channels)."""
-        b, c = xp.shape[0], xp.shape[3]
+        (kh, kw, channels), of the kernel taps ``taps`` (rows, cols) only."""
         view = np.lib.stride_tricks.sliding_window_view(xp, (self.kh, self.kw), axis=(1, 2))
-        cols = np.empty((b, h, w, self.kh, self.kw, c), dtype=xp.dtype)
-        np.copyto(cols, view.transpose(0, 1, 2, 4, 5, 3))
-        return cols.reshape(b * h * w, -1)
+        view = view[..., taps[0], taps[1]].transpose(0, 1, 2, 4, 5, 3)
+        cols = np.empty(view.shape, dtype=xp.dtype)
+        np.copyto(cols, view)
+        return cols.reshape(xp.shape[0] * h * w, -1)
+
+    def _tap_groups(self, tap_bytes):
+        """The (kernel rows, kernel cols) slices whose weight-gradient columns
+        backward builds at once, in column order: whole kernel rows while a
+        row's columns fit in ``_TAP_GROUP_BYTES``, else runs of one row's
+        taps. None is one column wide, as numpy sends a one-column product
+        to gemv, which rounds otherwise than the GEMM."""
+        fit = max(1, _TAP_GROUP_BYTES // tap_bytes)
+        if fit >= self.kw:
+            least = 2 if self.kw * self.in_ch == 1 else 1
+            return [(rows, slice(0, self.kw)) for rows in _spans(self.kh, fit // self.kw, least)]
+        least = 2 if self.in_ch == 1 else 1
+        return [(slice(i, i + 1), taps) for i in range(self.kh)
+                for taps in _spans(self.kw, fit, least)]
 
     def _wmat(self):
         return np.ascontiguousarray(
@@ -308,27 +344,37 @@ class Conv2d(Layer):
     def backward(self, dout, padded=None):
         """``padded``: the padded input, given again where the training
         forward was given it; the caller should hold no other reference,
-        as it is freed once the columns are built."""
+        as it is freed once the weight gradient is taken."""
         kept, (b, h, w) = take_cache(self)
-        cols = self._im2col(padded if kept is None else kept, h, w)
-        del kept, padded  # only the columns are read from here on: free it before the GEMMs
-        dmat = dout.reshape(b * h * w, self.out_ch)
-        dw = (dmat.T @ cols).reshape(self.out_ch, self.kh, self.kw, self.in_ch)
-        self.w.grad += dw.transpose(0, 3, 1, 2)
+        padded = padded if kept is None else kept
+        del kept
+        positions, width = b * h * w, self.kh * self.kw * self.in_ch
+        dmat = dout.reshape(positions, self.out_ch)
+        # the weight gradient: per tap group, its columns at every position
+        # and one GEMM into its columns of dw
+        dw = np.empty((self.out_ch, width), dtype=dout.dtype)
+        for rows, cols in self._tap_groups(positions * self.in_ch * dout.itemsize):
+            first = (rows.start * self.kw + cols.start) * self.in_ch
+            stop = ((rows.stop - 1) * self.kw + cols.stop) * self.in_ch
+            np.matmul(dmat.T, self._im2col(padded, h, w, (rows, cols)), out=dw[:, first:stop])
+        del padded  # only dmat is read from here on
+        self.w.grad += dw.reshape(self.out_ch, self.kh, self.kw, self.in_ch).transpose(0, 3, 1, 2)
         self.b.grad += dmat.sum(axis=0)
 
-        # col2im: one GEMM gives every input position's share of every
-        # kernel tap, written over the columns it no longer needs, then
-        # each tap is added back at its offset (taps that fall into the
-        # padding are dropped).
-        dcols = np.matmul(dmat, self._wmat(), out=cols).reshape(
-            b, h, w, self.kh, self.kw, self.in_ch)
+        # col2im per block of samples: a GEMM gives each input position's
+        # share of every kernel tap, then each tap is added back at its
+        # offset (taps that fall into the padding are dropped)
+        wmat = self._wmat()
         dx = np.zeros((b, h, w, self.in_ch), dtype=dout.dtype)
-        for i in range(self.kh):
-            rows_out, rows_in = _tap_slices(i - self.pad_h[0], h)
-            for j in range(self.kw):
-                cols_out, cols_in = _tap_slices(j - self.pad_w[0], w)
-                dx[:, rows_in, cols_in] += dcols[:, rows_out, cols_out, i, j]
+        for s in _row_blocks(b, h * w * width * dout.itemsize, _DX_BLOCK_BYTES):
+            block = dx[s]
+            dcols = (dmat[s.start * h * w:s.stop * h * w] @ wmat).reshape(
+                len(block), h, w, self.kh, self.kw, self.in_ch)
+            for i in range(self.kh):
+                rows_out, rows_in = _tap_slices(i - self.pad_h[0], h)
+                for j in range(self.kw):
+                    cols_out, cols_in = _tap_slices(j - self.pad_w[0], w)
+                    block[:, rows_in, cols_in] += dcols[:, rows_out, cols_out, i, j]
         return dx
 
     def params(self):
@@ -557,8 +603,8 @@ class ConvBlock(Chain):
     - that input is not kept: backward rebuilds it from ``bn_in``'s cache
       through the same affine map (``BatchNorm2d.replay``) and hands it to
       the convolution as its only reference, so it lives only until the
-      convolution's im2col (Chen et al. 2016, arXiv:1604.06174, trade a
-      recomputation for memory);
+      convolution's weight gradient (Chen et al. 2016, arXiv:1604.06174,
+      trade a recomputation for memory);
     - the convolution's output, which nothing else holds, is rectified in
       place; in training that one array is the cache of both ``relu`` (its
       mask) and ``bn_out`` (its input);

@@ -32,7 +32,7 @@ from respdl.nn import (
     save_checkpoint,
     softmax,
 )
-from respdl.nn import gradcheck
+from respdl.nn import gradcheck, layers
 from respdl.nn.layers import _COLUMN_BLOCK_BYTES
 
 F64 = np.float64
@@ -300,6 +300,53 @@ class TestConvSampleBlocks:
         np.testing.assert_array_equal(layer.b.grad, db)
         np.testing.assert_array_equal(dx, want_dx)
         np.testing.assert_array_equal(layer.forward(x).reshape(-1, out_ch), want)
+
+    # (kernel, in_ch, taps per group): 3x3 in runs of one kernel row's taps
+    # and in whole kernel rows, 4x1 with a ragged last group, and one input
+    # channel, where a one-column run joins the one before it
+    @pytest.mark.parametrize("kh, kw, in_ch, taps", [
+        (3, 3, 4, 2), (3, 3, 4, 6), (4, 1, 4, 3), (3, 3, 1, 2), (4, 1, 1, 2),
+    ], ids=["3x3-runs", "3x3-rows", "4x1", "3x3-one-channel", "4x1-one-channel"])
+    def test_backward_groups_and_blocks_equal_one_shot_gemms_bit_for_bit(
+            self, rng, monkeypatch, kh, kw, in_ch, taps):
+        b, h, w, out_ch = 7, 8, 6, 5
+        tap_bytes = b * h * w * in_ch * 4
+        monkeypatch.setattr(layers, "_TAP_GROUP_BYTES", taps * tap_bytes)
+        monkeypatch.setattr(layers, "_DX_BLOCK_BYTES", 2 * h * w * kh * kw * in_ch * 4)
+        layer = Conv2d(in_ch, out_ch, kh, kw, rng)
+        groups = layer._tap_groups(tap_bytes)
+        widths = [len(range(kh)[rows]) * len(range(kw)[cols]) * in_ch for rows, cols in groups]
+        assert len(groups) >= 2 and min(widths) >= 2 and sum(widths) == kh * kw * in_ch
+        # input-gradient blocks of two samples: [0, 2), [2, 4), [4, 6), [6, 7)
+        layer.b.data[:] = rng.standard_normal(out_ch)
+        x = rng.standard_normal((b, h, w, in_ch)).astype(np.float32)
+        dout = rng.standard_normal((b, h, w, out_ch)).astype(np.float32)
+        layer.forward(x, train=True)
+        dx = layer.backward(dout)
+        dw, db, want_dx = _column_caching_conv_grads(layer, x, dout)
+        np.testing.assert_array_equal(layer.w.grad, dw)
+        np.testing.assert_array_equal(layer.b.grad, db)
+        np.testing.assert_array_equal(dx, want_dx)
+
+    def test_backward_never_holds_the_whole_column_matrix(self, rng, monkeypatch):
+        # 32 taps of 64 KB: a 2 MB column matrix, 8x one 256 KB tap group
+        b, h, w, in_ch, out_ch = 4, 16, 16, 16, 8
+        tap_bytes = b * h * w * in_ch * 4
+        monkeypatch.setattr(layers, "_TAP_GROUP_BYTES", 4 * tap_bytes)
+        monkeypatch.setattr(layers, "_DX_BLOCK_BYTES", tap_bytes)
+        layer = Conv2d(in_ch, out_ch, 4, 8, rng)
+        col_bytes = 32 * tap_bytes
+        x = rng.standard_normal((b, h, w, in_ch)).astype(np.float32)
+        dout = rng.standard_normal((b, h, w, out_ch)).astype(np.float32)
+        layer.forward(x, train=True)
+        tracemalloc.start()  # counts only what backward allocates, not its inputs
+        try:
+            dx = layer.backward(dout)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert dx.shape == x.shape
+        assert peak < col_bytes
 
 
 class TestMean:
