@@ -10,9 +10,10 @@ patch width), ``predict`` (score one WAV) and ``gradcheck``
 files on every run; nothing is cached on disk.
 
 Configuration precedence: command-line flag beats config-file value beats
-built-in default. Config files are flat ``key=value`` lines with ``#``
-comments; unknown keys are rejected. Exit codes: 0 success, 1 usage error,
-2 data error, 3 numerical failure.
+built-in default; ``eval`` takes its configuration from the checkpoint,
+and only the data paths can be overridden. Config files are flat
+``key=value`` lines with ``#`` comments; unknown keys are rejected. Exit
+codes: 0 success, 1 usage error, 2 data error, 3 numerical failure.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from pathlib import Path
 
 from . import dsp, harness, ingest, synth
 from .errors import NumericalError, ParameterError, ParseError, RespdlError
-from .harness import CONFIG_KEYS, IDENTITY_KEYS
+from .harness import CONFIG_KEYS
 from .nn.gradcheck import standard_suite
 
 CONFIG_HELP = {
@@ -56,8 +57,8 @@ CONFIG_HELP = {
 }
 
 # Data paths: stored absolute, so a checkpoint can be scored from any
-# directory; eval takes them from the command line when given, since a
-# checkpoint may be scored where its training data lives elsewhere.
+# directory; eval's only options besides the checkpoint, since a checkpoint
+# may be scored where its training data lives elsewhere.
 DEPLOYMENT_KEYS = ("audio_dir", "diagnosis_file")
 
 # sweep command -> (config key that harness.sweep sweeps, values option,
@@ -120,21 +121,25 @@ def parse_config_file(path) -> dict:
     return values
 
 
-def build_config(args, base: harness.ExperimentConfig | None = None) -> harness.ExperimentConfig:
-    """``base`` (default: the built-in defaults), then the config file, then
-    flags; data paths are made absolute."""
+def _absolute_data_paths(cfg: harness.ExperimentConfig) -> harness.ExperimentConfig:
+    return replace(cfg, **{key: os.path.abspath(getattr(cfg, key))
+                           for key in DEPLOYMENT_KEYS if getattr(cfg, key)})
+
+
+def build_config(args) -> harness.ExperimentConfig:
+    """The built-in defaults, then the config file, then flags; data paths
+    are made absolute."""
     try:
-        values = parse_config_file(args.config) if getattr(args, "config", None) else {}
+        values = parse_config_file(args.config) if args.config else {}
         values.update({
             key: getattr(args, f"cfg_{key}")
             for key in CONFIG_KEYS
-            if getattr(args, f"cfg_{key}", None) is not None
+            if getattr(args, f"cfg_{key}") is not None
         })
-        cfg = harness.config_from_dict(values, base)
+        cfg = harness.config_from_dict(values)
     except ParameterError as exc:
         raise UsageError(str(exc)) from exc
-    return replace(cfg, **{key: os.path.abspath(getattr(cfg, key))
-                           for key in DEPLOYMENT_KEYS if getattr(cfg, key)})
+    return _absolute_data_paths(cfg)
 
 
 def build_parser() -> _Parser:
@@ -159,10 +164,10 @@ def build_parser() -> _Parser:
     p.add_argument("--fold", type=int, default=None, help="train a single fold")
 
     p = sub.add_parser("eval", help="evaluate a checkpoint on its held-out fold")
-    _add_config_flags(p)
     p.add_argument("--checkpoint", required=True)
-    p.add_argument("--fold", type=int, default=None,
-                   help="must match the checkpoint's fold")
+    for key in DEPLOYMENT_KEYS:
+        p.add_argument(f"--{key.replace('_', '-')}", dest=key,
+                       help=f"{CONFIG_HELP[key]} (default: the checkpoint's)")
 
     for command, (key, option, defaults, help_text, values_help) in SWEEPS.items():
         p = sub.add_parser(command, help=help_text)
@@ -285,15 +290,8 @@ def cmd_train(args) -> int:
 
 def cmd_eval(args) -> int:
     ckpt = harness.load_fold_checkpoint(args.checkpoint)
-    cfg = build_config(args, base=ckpt.config)
-    trained, asked = harness.config_to_dict(ckpt.config), harness.config_to_dict(cfg)
-    for key in IDENTITY_KEYS:
-        if key not in DEPLOYMENT_KEYS and asked[key] != trained[key]:
-            raise UsageError(f"--{key.replace('_', '-')} {asked[key]} differs from "
-                             f"the checkpoint's {trained[key]}")
-    if args.fold is not None and args.fold != ckpt.fold_id:
-        raise UsageError(f"--fold {args.fold} differs from the checkpoint's {ckpt.fold_id}")
-
+    paths = {key: getattr(args, key) for key in DEPLOYMENT_KEYS if getattr(args, key) is not None}
+    cfg = _absolute_data_paths(replace(ckpt.config, **paths))
     manifest = _load_manifest(cfg)
     folds = harness.config_folds(cfg, manifest)
     features = harness.build_features(

@@ -153,9 +153,10 @@ def _parse_value(key: str, text: str, target_type):
     return value
 
 
-def config_from_dict(values: dict[str, str], base: ExperimentConfig | None = None) -> ExperimentConfig:
-    """Build a validated config from flat string values; unknown keys fail."""
-    cfg = base if base is not None else ExperimentConfig()
+def config_from_dict(values: dict[str, str]) -> ExperimentConfig:
+    """Build a validated config from flat string values over the defaults;
+    unknown keys fail."""
+    cfg = ExperimentConfig()
     exp_kwargs, train_kwargs = {}, {}
     for key, text in values.items():
         if key not in CONFIG_KEYS:
@@ -462,7 +463,7 @@ def train_loop(model, x, y, cfg: TrainConfig, mixup_cfg: MixupConfig | None = No
 def evaluate_entities(model, groups: dict, batch_size: int = 64) -> dict:
     """Entity-level probabilities: run all patches through the model in
     inference mode, then average per entity. The chunk size bounds the
-    im2col working set at full patch width."""
+    activations of one inference forward."""
     order = sorted(groups)
     stacked = np.concatenate([groups[eid] for eid in order], axis=0)
     sizes = [groups[eid].shape[0] for eid in order]

@@ -138,13 +138,11 @@ class Sequential(Classifier):
         return init_rng
 
     def forward(self, x, train=False):
-        if x.ndim == 3:
-            x = x[:, :, :, None]  # (B, freq, time) -> channels-last
-        if x.shape[1] != 64 or x.shape[2] != self.patch_width:
+        if x.ndim != 3 or x.shape[1:] != (64, self.patch_width):
             raise ShapeError(
                 f"{self.name}: expected (B,64,{self.patch_width}) patches, got {x.shape}"
             )
-        return super().forward(x, train)
+        return super().forward(x[:, :, :, None], train)  # channels-last
 
     def backward(self, dlogits):
         return super().backward(dlogits)[:, :, :, 0]

@@ -182,7 +182,9 @@ class TestExitCodes:
     @pytest.mark.parametrize("case", list(UNREADABLE))
     def test_unreadable_input_is_data_error(self, cli_dataset, tmp_path, capsys, case):
         argv = self.UNREADABLE[case](cli_dataset, tmp_path)
-        code = run_cli(*argv, "--out-dir", str(tmp_path / "runs"))
+        if argv[0] == "train":  # eval takes no --out-dir: it writes no run directory
+            argv += ["--out-dir", str(tmp_path / "runs")]
+        code = run_cli(*argv)
         err = capsys.readouterr().err
         assert code == 2
         assert err.startswith("data error:") and "Traceback" not in err
@@ -291,6 +293,13 @@ class TestConfigPrecedence:
             for opt in action.option_strings:
                 assert opt in allowed, opt
 
+    def test_no_undocumented_eval_flags(self):
+        parser = build_parser()
+        sub = next(a for a in parser._actions if hasattr(a, "choices") and a.choices)
+        options = {opt for action in sub.choices["eval"]._actions
+                   for opt in action.option_strings}
+        assert options == {"--checkpoint", "--audio-dir", "--diagnosis-file", "-h", "--help"}
+
 
 class TestGradcheckCommand:
     def test_pass_exit_zero(self, monkeypatch, capsys):
@@ -366,7 +375,6 @@ class TestEvalAndPredict:
             "eval", "--checkpoint", str(trained_run / "ckpt_cnn_moe_fold0.rsdl"),
             "--audio-dir", str(cli_dataset),
             "--diagnosis-file", str(cli_dataset / "diagnosis.csv"),
-            "--min-cycle-seconds", "0.5", "--fold", "0",
         )
         assert code == 0
         out = capsys.readouterr().out
@@ -376,13 +384,14 @@ class TestEvalAndPredict:
         return run_cli(
             "eval", "--checkpoint", str(trained_run / "ckpt_cnn_moe_fold0.rsdl"),
             "--audio-dir", str(cli_dataset),
-            "--diagnosis-file", str(cli_dataset / "diagnosis.csv"), "--fold", "0", *flags,
+            "--diagnosis-file", str(cli_dataset / "diagnosis.csv"), *flags,
         )
 
     def test_eval_takes_min_cycle_seconds_from_checkpoint(self, trained_run, cli_dataset,
                                                           capsys, monkeypatch):
-        assert self._eval(trained_run, cli_dataset, "--min-cycle-seconds", "0.5") == 0
-        with_flag = capsys.readouterr().out
+        # trained at 0.5 s, not the 6 s default
+        row = (trained_run / "report.csv").read_text().splitlines()[1].split(",")
+        spec, sen, score = (float(v) for v in row[3:6])
         build, lengths = harness.build_features, []
 
         def spy(manifest, task, min_cycle_seconds, bank=None, entity_ids=None):
@@ -390,20 +399,27 @@ class TestEvalAndPredict:
             return build(manifest, task, min_cycle_seconds, bank, entity_ids)
 
         monkeypatch.setattr(harness, "build_features", spy)
+        capsys.readouterr()
         assert self._eval(trained_run, cli_dataset) == 0
-        assert capsys.readouterr().out == with_flag
+        assert capsys.readouterr().out == \
+            f"fold 0: spec={spec:.4f} sen={sen:.4f} score={score:.4f}\n"
         assert lengths == [0.5]
 
+    # eval takes no config flag, not even one that matches the checkpoint
     @pytest.mark.parametrize("flag,value", [("--min-cycle-seconds", "6"),
                                             ("--patch-width", "64"),
                                             ("--task", "Task1_2class"),
                                             ("--k", "4"),
                                             ("--fold-seed", "8"),
                                             ("--epochs", "3"),
-                                            ("--fold", "1")])
+                                            ("--fold", "1"),
+                                            ("--min-cycle-seconds", "0.5"),
+                                            ("--fold", "0"),
+                                            ("--config", "RUN/config.txt")])
     def test_eval_flag_conflicting_with_checkpoint_is_usage_error(self, trained_run,
                                                                   cli_dataset, flag, value,
                                                                   capsys):
+        value = value.replace("RUN", str(trained_run))
         assert self._eval(trained_run, cli_dataset, flag, value) == 1
         assert flag in capsys.readouterr().err
 
@@ -417,12 +433,12 @@ class TestEvalAndPredict:
         assert capsys.readouterr().out == expected
         assert self._eval(trained_run, tmp_path / "nothere") == 2
 
-    def test_eval_ignores_execution_flags(self, trained_run, cli_dataset, tmp_path, capsys):
-        assert self._eval(trained_run, cli_dataset) == 0
-        expected = capsys.readouterr().out
-        assert self._eval(trained_run, cli_dataset, "--jobs", "3",
-                          "--out-dir", str(tmp_path / "other")) == 0
-        assert capsys.readouterr().out == expected
+    def test_eval_execution_flags_are_usage_errors(self, trained_run, cli_dataset, tmp_path,
+                                                   capsys):
+        for flags in (["--jobs", "3"], ["--out-dir", str(tmp_path / "other")]):
+            assert self._eval(trained_run, cli_dataset, *flags) == 1
+            assert f"unrecognized arguments: {' '.join(flags)}" in capsys.readouterr().err
+        assert not (tmp_path / "other").exists()
 
     def test_eval_from_another_directory(self, cli_dataset, tmp_path, monkeypatch, capsys):
         # trained with relative data paths; the checkpoint stores them resolved

@@ -51,6 +51,11 @@ class TestShapeTraces:
         with pytest.raises(ShapeError):
             m.forward(np.zeros((1, 64, 50), dtype=np.float32), train=True)
 
+    def test_channel_axis_input_rejected(self):
+        m = models.CNNMoE(n_classes=4, patch_width=32, seed=0)
+        with pytest.raises(ShapeError):
+            m.forward(np.zeros((1, 64, 32, 1), dtype=np.float32))
+
 
 class TestMoELayer:
     def _layer(self, rng, in_dim=6, n_classes=3, n_experts=4):
