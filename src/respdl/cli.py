@@ -91,6 +91,9 @@ def _values_of(kind):
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, allow_abbrev=False, **kwargs)
+
     def error(self, message):
         raise UsageError(f"{message}\n{self.format_usage()}")
 
@@ -216,14 +219,6 @@ def _save_dataset(cfg: harness.ExperimentConfig, manifest: ingest.DatasetManifes
     return run_dir
 
 
-def _save_fold_outputs(run_dir: Path, cfg, result: harness.FoldResult):
-    for member in result.members:
-        stem = f"{member.name}_fold{result.fold_id}"
-        (run_dir / f"history_{stem}.csv").write_text(harness.history_csv(member.history))
-        harness.save_fold_checkpoint(run_dir / f"ckpt_{stem}.rsdl", cfg, member.name,
-                                     result.fold_id, member.stats, member.state)
-
-
 def _print_metrics(prefix: str, m: harness.Metrics):
     print(f"{prefix} spec={m.specificity:.4f} sen={m.sensitivity:.4f} "
           f"score={m.icbhi_score:.4f}")
@@ -271,17 +266,13 @@ def cmd_train(args) -> int:
 
     fold_ids = [args.fold] if args.fold is not None else None
     try:
-        result = harness.run_cv(cfg, features, folds, fold_ids=fold_ids)
-    except NumericalError as exc:
-        if hasattr(exc, "last_good"):
-            path = run_dir / f"ckpt_{exc.model_name}_fold{exc.fold_id}.aborted.rsdl"
-            harness.save_fold_checkpoint(path, cfg, exc.model_name, exc.fold_id, exc.stats,
-                                         exc.last_good)
-            print(f"NaN abort; last good checkpoint saved to {path}", file=sys.stderr)
+        result = harness.run_cv(cfg, features, folds, fold_ids=fold_ids, run_dir=run_dir)
+    except NumericalError as exc:  # the member job saved its last good state
+        path = run_dir / f"ckpt_{exc.model_name}_fold{exc.fold_id}.aborted.rsdl"
+        print(f"NaN abort; last good checkpoint saved to {path}", file=sys.stderr)
         raise
     (run_dir / "report.csv").write_text(harness.report_csv(result))
     for fold_result in result.fold_results:
-        _save_fold_outputs(run_dir, cfg, fold_result)
         _print_metrics(f"fold {fold_result.fold_id}:", fold_result.metrics)
     _print_metrics("mean:", result.mean)
     print(f"run directory: {run_dir}")

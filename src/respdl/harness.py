@@ -11,10 +11,10 @@ epoch loop: ``run_epoch`` advances its ``TrainState`` (model, ``Adam``,
 shuffle, mixup and dropout generators, history and train accuracies, and
 the selection's best score and state) by an epoch, and ``train_loop``
 repeats it up to the epoch count or the early stop. A trained member is one
-``MemberResult``: its history, its model state (``Sequential.state()``,
-which is also what its checkpoint holds), its held-out probabilities and
-the fold's norm statistics; a ``FoldResult`` is the fold's score and its
-members.
+``MemberResult``: its history, its held-out probabilities and the fold's
+norm statistics; its model state stays in the job, which writes the
+member's checkpoint and history into the run's directory, if it has one. A
+``FoldResult`` is the fold's score and its members.
 
 Evaluation is always at entity level (cycles for Task 1, recordings for
 Task 2): patch probabilities are averaged per entity, the argmax is the
@@ -487,11 +487,10 @@ def evaluate_entities(model, groups: dict, batch_size: int = 64) -> dict:
 
 @dataclass
 class MemberResult:
-    """One member model trained on one fold."""
+    """One member model trained on one fold, without its model state."""
 
     name: str
     history: list  # (epoch, train_loss, heldout_score) per epoch
-    state: dict  # the selected epoch's Sequential.state()
     heldout_probs: dict  # entity id -> class probabilities
     stats: dsp.NormStats  # the fold's training normalization
 
@@ -563,43 +562,6 @@ def heldout_set(features: dict[str, EntityFeatures], heldout_ids, stats: dsp.Nor
     ``evaluate_entities`` and ``score`` take them."""
     return ({eid: normalized_patches(features[eid].spec, stats, width) for eid in heldout_ids},
             {eid: features[eid].label for eid in heldout_ids})
-
-
-def train_member(config: ExperimentConfig, fold_id: int, name: str,
-                 inputs: FoldInputs) -> MemberResult:
-    """Train one member on a fold and score it on the held-out entities.
-
-    The state kept is the best held-out-score epoch's (or the final one
-    under ``select=final``). A NaN abort retains the last good state on the
-    raised NumericalError, with the member, fold and norm statistics.
-    """
-    model_index = _model_names(config).index(name)
-    seed_seq = np.random.SeedSequence([config.train.seed, fold_id, model_index])
-    init_seed, loop_seed = (int(s.generate_state(1)[0]) for s in seed_seq.spawn(2))
-    model = build_member(config, name, seed=init_seed, dtype=inputs.x.dtype)
-
-    def heldout_score(m):
-        return score(evaluate_entities(m, inputs.heldout_groups), inputs.truths,
-                     config.task).icbhi_score
-
-    state = TrainState.start(model, config.train, loop_seed, heldout_score)
-    try:
-        history, _ = train_loop(
-            model, inputs.x, inputs.y, config.train,
-            mixup_cfg=MixupConfig(enabled=config.mixup),
-            early_stop_acc=config.early_stop_acc,
-            early_stop_patience=config.early_stop_patience, state=state)
-    except NumericalError as exc:
-        exc.last_good = state.best_state
-        exc.model_name = name
-        exc.fold_id = fold_id
-        exc.stats = inputs.stats
-        log.error("fold %d %s: NaN abort, retaining last good state", fold_id, name)
-        raise
-    if config.select == "best":
-        model.load_state(state.best_state)
-    return MemberResult(name, history, model.state(),
-                        evaluate_entities(model, inputs.heldout_groups), inputs.stats)
 
 
 def fold_result(config: ExperimentConfig, fold_id: int, features: dict[str, EntityFeatures],
@@ -688,7 +650,7 @@ def _openblas():
     return None
 
 
-_RUN: dict = {}  # the running run_cv's jobs, features and folds; pool workers fork with it
+_RUN: dict = {}  # the running run_cv's jobs, data and run directory; pool workers fork with it
 
 
 def _start_worker():
@@ -701,10 +663,51 @@ def _start_worker():
 
 
 def _member_job(i: int) -> tuple[int, MemberResult]:
-    """Train job ``i`` of the running ``run_cv``: one member on one fold."""
+    """Train job ``i`` of the running ``run_cv``: one member on one fold,
+    scored on the held-out entities.
+
+    The state kept is the best held-out-score epoch's (or the final one
+    under ``select=final``). Given the run's directory, the job writes the
+    member's checkpoint and history there as it finishes, or on a NaN abort
+    the last good state as ``ckpt_<member>_fold<k>.aborted.rsdl``; the
+    NumericalError names the member and fold. The state never leaves the job.
+    """
     config, fold_id, name = _RUN["jobs"][i]
     inputs = fold_inputs(config, fold_id, _RUN["features"], _RUN["folds"])
-    return i, train_member(config, fold_id, name, inputs)
+    run_dir, stem = _RUN["run_dir"], f"{name}_fold{fold_id}"
+    model_index = _model_names(config).index(name)
+    seed_seq = np.random.SeedSequence([config.train.seed, fold_id, model_index])
+    init_seed, loop_seed = (int(s.generate_state(1)[0]) for s in seed_seq.spawn(2))
+    model = build_member(config, name, seed=init_seed, dtype=inputs.x.dtype)
+
+    def heldout_score(m):
+        return score(evaluate_entities(m, inputs.heldout_groups), inputs.truths,
+                     config.task).icbhi_score
+
+    def save(state, suffix=""):
+        save_fold_checkpoint(run_dir / f"ckpt_{stem}{suffix}.rsdl", config, name, fold_id,
+                             inputs.stats, state)
+
+    state = TrainState.start(model, config.train, loop_seed, heldout_score)
+    try:
+        history, _ = train_loop(
+            model, inputs.x, inputs.y, config.train,
+            mixup_cfg=MixupConfig(enabled=config.mixup),
+            early_stop_acc=config.early_stop_acc,
+            early_stop_patience=config.early_stop_patience, state=state)
+    except NumericalError as exc:
+        exc.model_name, exc.fold_id = name, fold_id
+        log.error("fold %d %s: NaN abort", fold_id, name)
+        if run_dir:
+            save(state.best_state, ".aborted")
+        raise
+    if config.select == "best":
+        model.load_state(state.best_state)
+    if run_dir:
+        save(model.state())
+        (run_dir / f"history_{stem}.csv").write_text(history_csv(history))
+    return i, MemberResult(name, history, evaluate_entities(model, inputs.heldout_groups),
+                           inputs.stats)
 
 
 def member_pool(workers: int):
@@ -722,10 +725,13 @@ def run_cv(
     features: dict[str, EntityFeatures],
     folds: ingest.FoldAssignment,
     fold_ids=None,
+    run_dir: Path | None = None,
 ) -> CVResult:
     """Run every fold (or ``fold_ids``) and average.
 
-    Each (fold, member) pair is one ``_member_job``. With more than one
+    Each (fold, member) pair is one ``_member_job``; given ``run_dir``, each
+    job writes its member's checkpoint and history there as it finishes, so
+    a failure keeps the members finished before it. With more than one
     worker (``worker_count``) the jobs run side by side in a process pool,
     and the first member to fail (in time, not in job order) is raised at
     once while the members still training are stopped; otherwise the same
@@ -736,7 +742,7 @@ def run_cv(
     names = _model_names(config)
     jobs = [(config, f, name) for f in fold_ids for name in names]
     workers = worker_count(config, len(jobs), features)
-    _RUN.update(jobs=jobs, features=features, folds=folds)
+    _RUN.update(jobs=jobs, features=features, folds=folds, run_dir=run_dir)
     try:
         with member_pool(workers) if workers > 1 else nullcontext() as pool:
             run = map if pool is None else pool.imap_unordered

@@ -95,6 +95,13 @@ class TestExitCodes:
         assert run_cli("train", "--config", str(cfg)) == 1
         assert "no_such_key" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv", [["train", "--epoch", "0"],
+                                      ["eval", "--checkpoint", "C", "--diag", "X"]])
+    def test_prefix_of_an_option_is_usage_error(self, argv, capsys):
+        # no option is taken by a prefix of its name (--epochs, --diagnosis-file)
+        assert run_cli(*argv) == 1
+        assert f"unrecognized arguments: {' '.join(argv[-2:])}" in capsys.readouterr().err
+
     def test_missing_audio_dir_is_usage_error(self):
         assert run_cli("train", "--epochs", "1") == 1
 

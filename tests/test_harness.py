@@ -4,6 +4,7 @@ import ctypes
 import logging
 import multiprocessing
 import os
+import pickle
 import re
 import subprocess
 import sys
@@ -312,19 +313,24 @@ class TestFrontEnd:
         np.testing.assert_array_equal(patches[3], ((spec[:, 68:] - 2.0) / 4.0).astype(np.float32))
 
 
-def assert_same_members(a, b):
-    """Same names, histories, states and held-out probabilities, bit for
-    bit; equal probabilities give equal member metrics."""
-    assert [m.name for m in a] == [m.name for m in b]
-    for one, two in zip(a, b, strict=True):
+def assert_same_members(a, b, dir_a, dir_b):
+    """Two results of one fold: the same member names, histories and
+    held-out probabilities, bit for bit, and the same checkpoint and
+    history files, as the member jobs wrote them under ``dir_a`` and
+    ``dir_b``, byte for byte; equal probabilities give equal member
+    metrics."""
+    assert a.fold_id == b.fold_id
+    assert [m.name for m in a.members] == [m.name for m in b.members]
+    for one, two in zip(a.members, b.members, strict=True):
         assert one.history == two.history
         assert one.stats == two.stats
-        assert one.state.keys() == two.state.keys()
-        for key in one.state:
-            np.testing.assert_array_equal(one.state[key], two.state[key])
         assert one.heldout_probs.keys() == two.heldout_probs.keys()
         for eid in one.heldout_probs:
             np.testing.assert_array_equal(one.heldout_probs[eid], two.heldout_probs[eid])
+        stem = f"{one.name}_fold{a.fold_id}"
+        assert (dir_a / f"history_{stem}.csv").read_text() == harness.history_csv(one.history)
+        for name in (f"ckpt_{stem}.rsdl", f"history_{stem}.csv"):
+            assert (dir_a / name).read_bytes() == (dir_b / name).read_bytes()
 
 
 class TestRunFold:
@@ -345,13 +351,16 @@ class TestRunFold:
         assert member.stats == dsp.fit_norm_stats([synth_features[e].spec for e in train_ids])
         assert set(member.heldout_probs) == held
 
-    def test_determinism(self, synth_features, synth_folds):
+    def test_determinism(self, synth_features, synth_folds, tmp_path):
         cfg = desk_config(train=TrainConfig(epochs=2, batch_size=8, lr=1e-3, seed=21),
                           early_stop_acc=0.0)
-        a = harness.run_fold(cfg, 1, synth_features, synth_folds)
-        b = harness.run_fold(cfg, 1, synth_features, synth_folds)
+        dirs = [tmp_path / "a", tmp_path / "b"]
+        for d in dirs:
+            d.mkdir()
+        a, b = (harness.run_cv(cfg, synth_features, synth_folds, [1], run_dir=d).fold_results[0]
+                for d in dirs)
         assert a.metrics == b.metrics
-        assert_same_members(a.members, b.members)
+        assert_same_members(a, b, *dirs)
 
     @pytest.mark.parametrize("select", ["best", "final"])
     def test_select_keeps_that_epochs_state(self, select, synth_features, synth_folds):
@@ -364,7 +373,8 @@ class TestRunFold:
         kept = scores[-1] if select == "final" else max(scores)
         assert harness.score(member.heldout_probs, truths, cfg.task).icbhi_score == kept
 
-    def test_nan_abort_keeps_last_good(self, synth_features, synth_folds, monkeypatch):
+    def test_nan_abort_keeps_last_good(self, synth_features, synth_folds, monkeypatch,
+                                       tmp_path):
         cfg = desk_config(train=TrainConfig(epochs=2, batch_size=8, lr=1e-3, seed=3))
 
         def explode(*args, **kwargs):
@@ -372,11 +382,14 @@ class TestRunFold:
 
         monkeypatch.setattr(harness, "train_loop", explode)
         with pytest.raises(NumericalError) as excinfo:
-            harness.run_fold(cfg, 0, synth_features, synth_folds)
-        assert hasattr(excinfo.value, "last_good")
-        assert excinfo.value.model_name == "cnn_moe"
-        assert isinstance(excinfo.value.stats, dsp.NormStats)
-        assert any(k.endswith(".W") for k in excinfo.value.last_good)
+            harness.run_cv(cfg, synth_features, synth_folds, [0], run_dir=tmp_path)
+        assert (excinfo.value.model_name, excinfo.value.fold_id) == ("cnn_moe", 0)
+        assert not hasattr(excinfo.value, "last_good")  # the state stays in the job
+        aborted, = tmp_path.iterdir()
+        assert aborted.name == "ckpt_cnn_moe_fold0.aborted.rsdl"
+        ckpt = harness.load_fold_checkpoint(aborted)
+        assert (ckpt.fold_id, ckpt.model.name) == (0, "cnn_moe")
+        assert any(k.endswith(".W") for k in ckpt.model.state())
 
     def test_ensemble_trains_both_members(self, synth_features, synth_folds):
         cfg = desk_config(model="ensemble",
@@ -493,24 +506,60 @@ class TestRunCV:
             spec, sen, score = float(cols[3]), float(cols[4]), float(cols[5])
             assert score == (spec + sen) / 2.0  # exact, not approximate
 
-    def test_two_jobs_bit_identical_to_one(self, synth_features, synth_folds):
+    def test_two_jobs_bit_identical_to_one(self, synth_features, synth_folds, tmp_path):
         # the ensemble also covers the split into member jobs and the fuse
         for model in ("cnn_moe", "ensemble"):
-            results = {}
+            results, dirs = {}, {jobs: tmp_path / f"{model}-jobs{jobs}" for jobs in (1, 2)}
             for jobs in (1, 2):
+                dirs[jobs].mkdir()
                 cfg = desk_config(model=model, early_stop_acc=0.0, jobs=jobs,
                                   train=TrainConfig(epochs=1, batch_size=8, lr=1e-3, seed=13))
                 results[jobs] = harness.run_cv(cfg, synth_features, synth_folds,
-                                               fold_ids=[0, 1])
+                                               fold_ids=[0, 1], run_dir=dirs[jobs])
             assert harness.report_csv(results[2]) == harness.report_csv(results[1])
             for one, two in zip(results[1].fold_results, results[2].fold_results, strict=True):
-                assert one.fold_id == two.fold_id
                 assert one.metrics == two.metrics
-                assert_same_members(one.members, two.members)
+                assert_same_members(one, two, dirs[1], dirs[2])
+
+    def test_only_scores_cross_the_pool(self, synth_features, synth_folds):
+        # a member's state (18 MB for the desk CNN-MoE) stays in its job
+        cfg = desk_config(model="ensemble", early_stop_acc=0.0, jobs=2,
+                          train=TrainConfig(epochs=1, batch_size=8, lr=1e-3, seed=13))
+        result = harness.run_cv(cfg, synth_features, synth_folds, fold_ids=[0, 1])
+        members = [m for r in result.fold_results for m in r.members]
+        assert [m.name for m in members] == ["cnn_moe", "crnn"] * 2
+        for member in members:
+            assert len(pickle.dumps(member)) < 64 * 1024
+
+    def test_abort_keeps_the_members_finished_before_it(self, synth_manifest, synth_features,
+                                                        monkeypatch, tmp_path):
+        train_loop, calls = harness.train_loop, []
+
+        def fold1_explodes(*args, **kwargs):
+            calls.append(None)
+            if len(calls) == 2:  # one job at a time: fold 0, then fold 1
+                raise NumericalError("non-finite values in predictions")
+            return train_loop(*args, **kwargs)
+
+        monkeypatch.setattr(harness, "train_loop", fold1_explodes)
+        cfg = desk_config(k=2, jobs=1, early_stop_acc=0.0,
+                          train=TrainConfig(epochs=1, batch_size=8, lr=1e-3, seed=13))
+        folds = ingest.make_folds(synth_manifest, 2, 7, cfg.task)
+        with pytest.raises(NumericalError):
+            harness.run_cv(cfg, synth_features, folds, run_dir=tmp_path)
+        assert sorted(f.name for f in tmp_path.iterdir()) == [
+            "ckpt_cnn_moe_fold0.rsdl", "ckpt_cnn_moe_fold1.aborted.rsdl",
+            "history_cnn_moe_fold0.csv"]
+        assert harness.load_fold_checkpoint(tmp_path / "ckpt_cnn_moe_fold0.rsdl").fold_id == 0
+        rows = (tmp_path / "history_cnn_moe_fold0.csv").read_text().splitlines()
+        assert rows[0] == "epoch,train_loss,heldout_score" and rows[1].startswith("1,")
+        assert len(rows) == 2
+        aborted = harness.load_fold_checkpoint(tmp_path / "ckpt_cnn_moe_fold1.aborted.rsdl")
+        assert aborted.fold_id == 1
 
     @pytest.mark.parametrize("aborting", ["cnn_moe", "crnn"])
     def test_pooled_nan_abort_stops_running_members(self, synth_manifest, synth_features,
-                                                    monkeypatch, aborting):
+                                                    monkeypatch, tmp_path, aborting):
         def stub(model, *args, **kwargs):
             if model.name == aborting:
                 raise NumericalError("non-finite values in predictions")
@@ -522,13 +571,17 @@ class TestRunCV:
         folds = ingest.make_folds(synth_manifest, 2, 7, cfg.task)
         start = time.perf_counter()
         with pytest.raises(NumericalError) as excinfo:
-            harness.run_cv(cfg, synth_features, folds)
+            harness.run_cv(cfg, synth_features, folds, run_dir=tmp_path)
         assert time.perf_counter() - start < 5
         assert not multiprocessing.active_children()  # the sleeping member was stopped
         exc = excinfo.value
         assert (exc.model_name, exc.fold_id) == (aborting, 0)
-        assert isinstance(exc.stats, dsp.NormStats)
-        assert any(k.endswith(".W") for k in exc.last_good)
+        assert not hasattr(exc, "last_good")
+        sleeping, = {"cnn_moe", "crnn"} - {aborting}
+        assert not list(tmp_path.glob(f"*{sleeping}*"))  # and wrote nothing
+        ckpt = harness.load_fold_checkpoint(tmp_path / f"ckpt_{aborting}_fold0.aborted.rsdl")
+        assert isinstance(ckpt.stats, dsp.NormStats)
+        assert any(k.endswith(".W") for k in ckpt.model.state())
 
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_run_record_is_empty_after_run_cv(self, synth_features, synth_folds, monkeypatch,
