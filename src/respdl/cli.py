@@ -19,7 +19,6 @@ codes: 0 success, 1 usage error, 2 data error, 3 numerical failure.
 from __future__ import annotations
 
 import argparse
-import math
 import os
 import sys
 from dataclasses import replace
@@ -41,8 +40,8 @@ CONFIG_HELP = {
     "mixup": "enable mixup augmentation (true/false)",
     "gru_hidden": "bi-GRU hidden size per direction",
     "select": "checkpoint selection: best held-out epoch or final",
-    "early_stop_acc": "stop once train accuracy holds at this level (0 disables)",
-    "early_stop_patience": "consecutive epochs above early_stop_acc before stopping",
+    "early_stop_acc": "stop once train accuracy holds at this level for 3 epochs in a row "
+                      "(0 disables)",
     "audio_dir": "directory of WAV + annotation files",
     "diagnosis_file": "patient_id,diagnosis text file",
     "out_dir": "root directory for run outputs",
@@ -67,7 +66,8 @@ SWEEPS = {
     "sweep-cycle": ("min_cycle_seconds", "--lengths", harness.CYCLE_SWEEP_LENGTHS,
                     "minimum-cycle-length sweep (Task 1)", "comma-separated seconds"),
     "sweep-timeres": ("patch_width", "--widths", harness.TIMERES_SWEEP_WIDTHS,
-                      "patch-width sweep (Task 2)", "comma-separated frame counts"),
+                      "patch-width sweep (Task 2)",
+                      "comma-separated frame counts (32/64/96/128/160)"),
 }
 
 
@@ -75,18 +75,19 @@ class UsageError(Exception):
     pass
 
 
-def _values_of(kind):
-    """An argparse type: comma-separated finite positive values, each
-    converted with ``kind``."""
+def _values_of(key):
+    """An argparse type: comma-separated values of config ``key``, each
+    one a config accepts."""
+    kind = harness.SWEEP_KEYS[key][0]
+
     def parse(text):
         try:
             values = [kind(value) for value in text.split(",")]
-            if all(0 < value < math.inf for value in values):
-                return values
-        except ValueError:
-            pass
-        raise argparse.ArgumentTypeError(
-            f"expected comma-separated finite positive {kind.__name__} values, got {text!r}")
+            for value in values:
+                harness.ExperimentConfig(**{key: value})
+        except (ValueError, ParameterError) as exc:
+            raise argparse.ArgumentTypeError(f"{text!r}: {exc}") from None
+        return values
     return parse
 
 
@@ -175,7 +176,7 @@ def build_parser() -> _Parser:
     for command, (key, option, defaults, help_text, values_help) in SWEEPS.items():
         p = sub.add_parser(command, help=help_text)
         _add_config_flags(p)
-        p.add_argument(option, dest="values", type=_values_of(harness.SWEEP_KEYS[key][0]),
+        p.add_argument(option, dest="values", type=_values_of(key),
                        default=defaults, metavar=option[2:].upper(), help=values_help)
         p.add_argument("--full-cv", action="store_true",
                        help="average all folds instead of fold 0")
@@ -268,8 +269,7 @@ def cmd_train(args) -> int:
     try:
         result = harness.run_cv(cfg, features, folds, fold_ids=fold_ids, run_dir=run_dir)
     except NumericalError as exc:  # the member job saved its last good state
-        path = run_dir / f"ckpt_{exc.model_name}_fold{exc.fold_id}.aborted.rsdl"
-        print(f"NaN abort; last good checkpoint saved to {path}", file=sys.stderr)
+        print(f"NaN abort; last good checkpoint saved to {exc.checkpoint}", file=sys.stderr)
         raise
     (run_dir / "report.csv").write_text(harness.report_csv(result))
     for fold_result in result.fold_results:

@@ -28,7 +28,6 @@ from __future__ import annotations
 import ctypes
 import hashlib
 import logging
-import math
 import multiprocessing
 import os
 from collections.abc import Callable
@@ -40,7 +39,7 @@ import numpy as np
 
 from . import dsp, ingest, models
 from .augment import MixupConfig, duplicate_to_min, mixup_batch
-from .errors import FormatError, NumericalError, ParameterError, ShapeError
+from .errors import FormatError, NumericalError, ParameterError
 from .nn import (
     Adam,
     TrainConfig,
@@ -49,13 +48,14 @@ from .nn import (
     loss_ce_l2,
     save_checkpoint,
 )
+from .nn.optim import check_finite
 
 log = logging.getLogger(__name__)
 
 MODEL_CHOICES = ("cnn_moe", "crnn", "ensemble")
 SELECT_CHOICES = ("best", "final")
 CYCLE_SWEEP_LENGTHS = (2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0)
-TIMERES_SWEEP_WIDTHS = (32, 64, 96, 128, 160)
+TIMERES_SWEEP_WIDTHS = dsp.PATCH_WIDTHS
 
 
 def usable_cores() -> int:
@@ -67,7 +67,10 @@ def usable_cores() -> int:
 
 @dataclass
 class ExperimentConfig:
-    """Everything a run needs; flat key=value serializable.
+    """Everything a run needs; flat key=value serializable. A config checks
+    itself when it is made (a ParameterError names the first bad field),
+    so every config that exists is valid, whether built from flags, a
+    config file, a checkpoint header, ``replace`` or Python.
 
     Task 2 ignores ``min_cycle_seconds`` (entire recordings are used).
     ``jobs`` and ``out_dir`` say how and where a run executes, not what it
@@ -85,14 +88,14 @@ class ExperimentConfig:
     gru_hidden: int = 512
     select: str = "best"
     early_stop_acc: float = 0.0
-    early_stop_patience: int = 3
     audio_dir: str = ""
     diagnosis_file: str = ""
     out_dir: str = "runs"
     jobs: int = field(default_factory=usable_cores)
     train: TrainConfig = field(default_factory=TrainConfig)
 
-    def validate(self):
+    def __post_init__(self):
+        check_finite(self)
         if self.task not in ingest.TASKS:
             raise ParameterError(f"task must be one of {ingest.TASKS}, got {self.task!r}")
         if self.model not in MODEL_CHOICES:
@@ -111,11 +114,8 @@ class ExperimentConfig:
             raise ParameterError("fold_seed must be >= 0")
         if self.jobs < 1:
             raise ParameterError("jobs must be >= 1")
-        if self.early_stop_patience < 1:
-            raise ParameterError("early_stop_patience must be >= 1")
         if self.gru_hidden < 1:
             raise ParameterError("gru_hidden must be >= 1")
-        return self
 
     @property
     def n_classes(self) -> int:
@@ -126,7 +126,7 @@ _TRAIN_KEYS = tuple(f.name for f in fields(TrainConfig))
 CONFIG_KEYS = tuple(f.name for f in fields(ExperimentConfig) if f.name != "train") + _TRAIN_KEYS
 EXECUTION_KEYS = ("jobs", "out_dir")
 # constants that were once config keys; older checkpoint headers hold them
-RETIRED_KEYS = ("beta1", "beta2", "eps", "mixup_alpha", "moe_experts")
+RETIRED_KEYS = ("beta1", "beta2", "eps", "mixup_alpha", "moe_experts", "early_stop_patience")
 IDENTITY_KEYS = tuple(key for key in CONFIG_KEYS if key not in EXECUTION_KEYS)
 
 
@@ -145,17 +145,14 @@ def _parse_value(key: str, text: str, target_type):
             return False
         raise ParameterError(f"{key}: expected a boolean, got {text!r}")
     try:
-        value = target_type(text)
+        return target_type(text)
     except ValueError:
         raise ParameterError(f"{key}: expected {target_type.__name__}, got {text!r}") from None
-    if target_type is float and not math.isfinite(value):
-        raise ParameterError(f"{key}: expected a finite number, got {text!r}")
-    return value
 
 
 def config_from_dict(values: dict[str, str]) -> ExperimentConfig:
-    """Build a validated config from flat string values over the defaults;
-    unknown keys fail."""
+    """Build a config from flat string values over the defaults; unknown
+    keys fail."""
     cfg = ExperimentConfig()
     exp_kwargs, train_kwargs = {}, {}
     for key, text in values.items():
@@ -164,7 +161,7 @@ def config_from_dict(values: dict[str, str]) -> ExperimentConfig:
         owner, kwargs = (cfg.train, train_kwargs) if key in _TRAIN_KEYS else (cfg, exp_kwargs)
         kwargs[key] = _parse_value(key, str(text), type(getattr(owner, key)))
     new_train = replace(cfg.train, **train_kwargs)
-    return replace(cfg, train=new_train, **exp_kwargs).validate()
+    return replace(cfg, train=new_train, **exp_kwargs)
 
 
 def config_text(cfg: ExperimentConfig) -> str:
@@ -440,22 +437,25 @@ def run_epoch(state: TrainState, x, y, cfg: TrainConfig,
     state.train_accs.append(correct / len(x))
 
 
-def early_stopped(train_accs, acc: float, patience: int) -> bool:
-    """Whether the last ``patience`` train accuracies all reach ``acc``;
-    never while ``acc`` is 0."""
-    tail = train_accs[-max(patience, 1):]
-    return acc > 0.0 and len(tail) == max(patience, 1) and min(tail) >= acc
+# epochs in a row that train accuracy must hold at ``early_stop_acc``
+EARLY_STOP_PATIENCE = 3
+
+
+def early_stopped(train_accs, acc: float) -> bool:
+    """Whether the last ``EARLY_STOP_PATIENCE`` train accuracies all reach
+    ``acc``; never while ``acc`` is 0."""
+    tail = train_accs[-EARLY_STOP_PATIENCE:]
+    return acc > 0.0 and len(tail) == EARLY_STOP_PATIENCE and min(tail) >= acc
 
 
 def train_loop(model, x, y, cfg: TrainConfig, mixup_cfg: MixupConfig | None = None, seed=0,
-               early_stop_acc: float = 0.0, early_stop_patience: int = 3,
-               state: TrainState | None = None):
+               early_stop_acc: float = 0.0, state: TrainState | None = None):
     """``run_epoch`` over ``state`` (default: a fresh record of ``model``
     from ``seed``) up to ``cfg.epochs``, or until ``early_stopped``.
     Returns (history, train_accs)."""
     state = state if state is not None else TrainState.start(model, cfg, seed)
-    while len(state.history) < cfg.epochs and not early_stopped(
-            state.train_accs, early_stop_acc, early_stop_patience):
+    while len(state.history) < cfg.epochs and not early_stopped(state.train_accs,
+                                                                 early_stop_acc):
         run_epoch(state, x, y, cfg, mixup_cfg)
     return state.history, state.train_accs
 
@@ -668,9 +668,11 @@ def _member_job(i: int) -> tuple[int, MemberResult]:
 
     The state kept is the best held-out-score epoch's (or the final one
     under ``select=final``). Given the run's directory, the job writes the
-    member's checkpoint and history there as it finishes, or on a NaN abort
-    the last good state as ``ckpt_<member>_fold<k>.aborted.rsdl``; the
-    NumericalError names the member and fold. The state never leaves the job.
+    member's checkpoint and history there as it finishes, and deletes an
+    aborted checkpoint an earlier run left; on a NaN abort it writes the
+    last good state as ``ckpt_<member>_fold<k>.aborted.rsdl``, and the
+    NumericalError names the member, the fold and that file (None without
+    a directory). The state never leaves the job.
     """
     config, fold_id, name = _RUN["jobs"][i]
     inputs = fold_inputs(config, fold_id, _RUN["features"], _RUN["folds"])
@@ -679,33 +681,33 @@ def _member_job(i: int) -> tuple[int, MemberResult]:
     seed_seq = np.random.SeedSequence([config.train.seed, fold_id, model_index])
     init_seed, loop_seed = (int(s.generate_state(1)[0]) for s in seed_seq.spawn(2))
     model = build_member(config, name, seed=init_seed, dtype=inputs.x.dtype)
+    aborted = run_dir / f"ckpt_{stem}.aborted.rsdl" if run_dir else None
 
     def heldout_score(m):
         return score(evaluate_entities(m, inputs.heldout_groups), inputs.truths,
                      config.task).icbhi_score
 
-    def save(state, suffix=""):
-        save_fold_checkpoint(run_dir / f"ckpt_{stem}{suffix}.rsdl", config, name, fold_id,
-                             inputs.stats, state)
+    def save(path, state):
+        save_fold_checkpoint(path, config, name, fold_id, inputs.stats, state)
 
     state = TrainState.start(model, config.train, loop_seed, heldout_score)
     try:
         history, _ = train_loop(
             model, inputs.x, inputs.y, config.train,
             mixup_cfg=MixupConfig(enabled=config.mixup),
-            early_stop_acc=config.early_stop_acc,
-            early_stop_patience=config.early_stop_patience, state=state)
+            early_stop_acc=config.early_stop_acc, state=state)
     except NumericalError as exc:
-        exc.model_name, exc.fold_id = name, fold_id
+        exc.model_name, exc.fold_id, exc.checkpoint = name, fold_id, aborted
         log.error("fold %d %s: NaN abort", fold_id, name)
-        if run_dir:
-            save(state.best_state, ".aborted")
+        if aborted:
+            save(aborted, state.best_state)
         raise
     if config.select == "best":
         model.load_state(state.best_state)
     if run_dir:
-        save(model.state())
+        save(run_dir / f"ckpt_{stem}.rsdl", model.state())
         (run_dir / f"history_{stem}.csv").write_text(history_csv(history))
+        aborted.unlink(missing_ok=True)
     return i, MemberResult(name, history, evaluate_entities(model, inputs.heldout_groups),
                            inputs.stats)
 
@@ -862,17 +864,6 @@ SWEEP_KEYS = {
 }
 
 
-def _probe_width(config: ExperimentConfig) -> None:
-    """One batch-1 training forward of each member at ``config.patch_width``;
-    a ShapeError names the width and the member."""
-    x = np.zeros((1, 64, config.patch_width), dtype=np.float32)
-    for name in _model_names(config):
-        try:
-            build_member(config, name).forward(x, train=True)
-        except ShapeError as exc:
-            raise ShapeError(f"patch_width {config.patch_width}: {name}: {exc}") from exc
-
-
 def sweep(config: ExperimentConfig, manifest: ingest.DatasetManifest, key: str, values,
           full_cv: bool = False) -> SweepReport:
     """Retrain at each of ``values`` of config ``key`` over both sub-tasks
@@ -883,16 +874,11 @@ def sweep(config: ExperimentConfig, manifest: ingest.DatasetManifest, key: str, 
     patch widths); one build is held at a time and both sub-tasks share it.
     Rows are task-major, each task's in the order of ``values``; a
     patch-width row also reports its frame count and the seconds the patch
-    spans (width * hop / 16 kHz). Widths outside the standard set (e.g.
-    192) are permitted here for extended sweeps; each member runs one
-    forward at every width first, so a width its pooling does not divide
-    is a ShapeError before anything trains.
+    spans (width * hop / 16 kHz). Every point's config is made first, so
+    a value the config rejects is a ParameterError before anything is read.
     """
     kind, tasks = SWEEP_KEYS[key]
-    settings = [replace(config, **{key: kind(value)}) for value in values]  # bad values fail first
-    if key == "patch_width":
-        for setting in settings:
-            _probe_width(setting)
+    settings = [replace(config, **{key: kind(value)}) for value in values]
     rows = {task: [] for task in tasks}
     features, built_for = None, None
     for setting in settings:

@@ -183,18 +183,21 @@ class Dense(Layer):
         return [self.w, self.b]
 
 
-def _row_blocks(n, row_bytes, block_bytes):
-    """Slices of ``range(n)`` for rows of ``row_bytes`` each, about
-    ``block_bytes`` of rows (at least one) per slice."""
-    step = max(1, block_bytes // max(row_bytes, 1))
-    return [slice(i, i + step) for i in range(0, n, step)]
+def _spans(n, step, least=1):
+    """Slices of ``range(n)``, ``step`` long (at least ``least``), a ragged
+    last one shorter than ``least`` joined to the one before."""
+    step = max(step, least)
+    starts = list(range(0, n, step))
+    if len(starts) > 1 and n - starts[-1] < least:
+        starts.pop()
+    return [slice(a, b) for a, b in zip(starts, [*starts[1:], n])]
 
 
 def _cache_sized(a):
     """Slices of ``a``'s leading axis, each about 1 MB: a chain of
     elementwise operations run slice by slice passes over memory once
     rather than once per operation, with the same values."""
-    return _row_blocks(len(a), a[:1].nbytes, 1 << 20)
+    return _spans(len(a), (1 << 20) // max(a[:1].nbytes, 1))
 
 
 def _affine_map(source, scale, shift, out, center=None):
@@ -217,16 +220,6 @@ def _affine_map(source, scale, shift, out, center=None):
 _COLUMN_BLOCK_BYTES = 4 << 20
 _TAP_GROUP_BYTES = 64 << 20
 _DX_BLOCK_BYTES = 16 << 20
-
-
-def _spans(n, step, least):
-    """Slices of ``range(n)``, ``step`` long (at least ``least``), a ragged
-    last one shorter than ``least`` joined to the one before."""
-    step = max(step, least)
-    starts = list(range(0, n, step))
-    if len(starts) > 1 and n - starts[-1] < least:
-        starts.pop()
-    return [slice(a, b) for a, b in zip(starts, [*starts[1:], n])]
 
 
 def _tap_slices(offset, size):
@@ -334,7 +327,7 @@ class Conv2d(Layer):
         out = np.empty((b * h * w, self.out_ch), dtype=padded.dtype)
         wmat_t = self._wmat().T
         sample_bytes = h * w * self.kh * self.kw * self.in_ch * padded.itemsize
-        for s in _row_blocks(b, sample_bytes, _COLUMN_BLOCK_BYTES):
+        for s in _spans(b, _COLUMN_BLOCK_BYTES // sample_bytes):
             rows = out[s.start * h * w:s.stop * h * w]
             np.matmul(self._im2col(padded[s], h, w), wmat_t, out=rows)
             rows += self.b.data
@@ -366,7 +359,7 @@ class Conv2d(Layer):
         # offset (taps that fall into the padding are dropped)
         wmat = self._wmat()
         dx = np.zeros((b, h, w, self.in_ch), dtype=dout.dtype)
-        for s in _row_blocks(b, h * w * width * dout.itemsize, _DX_BLOCK_BYTES):
+        for s in _spans(b, _DX_BLOCK_BYTES // (h * w * width * dout.itemsize)):
             block = dx[s]
             dcols = (dmat[s.start * h * w:s.stop * h * w] @ wmat).reshape(
                 len(block), h, w, self.kh, self.kw, self.in_ch)
@@ -562,7 +555,7 @@ class Dropout(Layer):
 
     def __init__(self, p, rng):
         if not 0.0 <= p < 1.0:
-            raise ShapeError(f"dropout rate must be in [0,1), got {p}")
+            raise ParameterError(f"dropout rate must be in [0,1), got {p}")
         self.p = p
         self.rng = rng
 

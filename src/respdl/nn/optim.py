@@ -2,11 +2,21 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 from ..errors import FormatError, ParameterError
+
+
+def check_finite(config) -> None:
+    """ParameterError naming the first float field of the dataclass
+    ``config`` that is not a finite number."""
+    for f in fields(config):
+        value = getattr(config, f.name)
+        if isinstance(value, float) and not math.isfinite(value):
+            raise ParameterError(f"{f.name} must be a finite number, got {value!r}")
 
 
 @dataclass
@@ -21,6 +31,7 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
+        check_finite(self)
         if self.epochs < 1 or self.batch_size < 1:
             raise ParameterError("epochs and batch_size must be positive")
         if self.lr <= 0:

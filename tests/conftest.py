@@ -54,7 +54,6 @@ def desk_config(model="cnn_moe", **overrides):
         mixup=False,
         gru_hidden=64,
         early_stop_acc=0.999,
-        early_stop_patience=4,
         train=TrainConfig(epochs=60, batch_size=8, lr=1e-3, seed=11),
     )
     base.update(overrides)

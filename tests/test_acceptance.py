@@ -188,8 +188,7 @@ class TestAcceptance:
         for name in ("cnn_moe", "crnn"):
             model = models.build_model(name, 4, patch_width=32, seed=17, gru_hidden=64)
             cfg = TrainConfig(epochs=200, batch_size=8, lr=1e-3, seed=17)
-            _, accs = harness.train_loop(model, x, y, cfg, early_stop_acc=0.999,
-                                         early_stop_patience=2)
+            _, accs = harness.train_loop(model, x, y, cfg, early_stop_acc=0.999)
             results[f"{name}_acc"] = max(accs)
             results[f"{name}_epochs"] = len(accs)
 

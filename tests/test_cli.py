@@ -112,7 +112,7 @@ class TestExitCodes:
         ) == 2
 
     @pytest.mark.parametrize("flag, value", [
-        ("--early-stop-patience", "-3"),
+        ("--k", "1"),
         ("--gru-hidden", "0"),
     ])
     def test_bad_config_value_is_usage_error_before_any_run(self, cli_dataset, tmp_path,
@@ -126,12 +126,13 @@ class TestExitCodes:
         assert not list(tmp_path.glob("run_*"))
 
     def test_retired_key_is_unknown_before_any_run(self, cli_dataset, tmp_path, capsys):
-        # Adam's betas and eps, the mixup alpha and the expert count are
-        # constants, not config keys
+        # Adam's betas and eps, the mixup alpha, the expert count and the
+        # early-stop patience are constants, not config keys
         data = ["--audio-dir", str(cli_dataset),
                 "--diagnosis-file", str(cli_dataset / "diagnosis.csv"),
                 "--out-dir", str(tmp_path), "--fold", "0"]
         assert run_cli("train", *data, "--beta1", "0.5") == 1
+        assert run_cli("train", *data, "--early-stop-patience", "4") == 1
         assert not list(tmp_path.glob("run_*"))
         cfg = tmp_path / "old.cfg"
         cfg.write_text("epochs=1\nmoe_experts=4\n")
@@ -609,6 +610,26 @@ class TestEvalAndPredict:
         ckpt = harness.load_fold_checkpoint(aborted)
         assert (ckpt.fold_id, ckpt.config.patch_width) == (1, 32)
 
+    def test_clean_rerun_deletes_the_aborted_checkpoint(self, cli_dataset, tmp_path,
+                                                        monkeypatch, capsys):
+        argv = ("train", "--audio-dir", str(cli_dataset),
+                "--diagnosis-file", str(cli_dataset / "diagnosis.csv"),
+                "--min-cycle-seconds", "0.5", "--patch-width", "32", "--mixup", "false",
+                "--epochs", "1", "--batch-size", "8", "--lr", "1e-3",
+                "--out-dir", str(tmp_path), "--fold", "1")
+
+        def explode(*args, **kwargs):
+            raise NumericalError("non-finite values in predictions")
+
+        with monkeypatch.context() as patch:
+            patch.setattr(harness, "train_loop", explode)
+            assert run_cli(*argv) == 3
+        aborted, = tmp_path.glob("run_*/ckpt_*.aborted.rsdl")
+        assert f"saved to {aborted}\n" in capsys.readouterr().err
+        assert run_cli(*argv) == 0
+        assert not aborted.exists()
+        assert (aborted.parent / "ckpt_cnn_moe_fold1.rsdl").exists()
+
     def test_nan_abort_in_pooled_member_checkpoint_is_readable(self, cli_dataset, tmp_path,
                                                                monkeypatch, capsys):
         def explode(model, *args, **kwargs):
@@ -669,9 +690,11 @@ class TestSweepCommands:
         ("sweep-cycle", ("--lengths", "-2.0")),
         ("sweep-timeres", ("--widths", "-32")),
         ("sweep-timeres", ("--widths", "32,0")),
+        ("sweep-timeres", ("--widths", "32,50")),
+        ("sweep-timeres", ("--widths", "48")),
     ], ids=["sweep-cycle", "sweep-timeres", "sweep-cycle-nan", "sweep-cycle-inf",
             "sweep-cycle-zero", "sweep-cycle-negative", "sweep-timeres-negative",
-            "sweep-timeres-zero"])
+            "sweep-timeres-zero", "sweep-timeres-50", "sweep-timeres-48"])
     def test_bad_value_is_usage_error(self, tmp_path, command, values, capsys):
         # the audio directory does not exist: reading it would be a data error (2)
         assert run_cli(command, "--audio-dir", str(tmp_path / "missing"),
@@ -679,19 +702,6 @@ class TestSweepCommands:
         err = capsys.readouterr().err
         assert values[1] in err and "usage:" in err
         assert not (tmp_path / "runs").exists()
-
-    def test_width_the_pooling_does_not_divide_is_data_error(self, cli_dataset, tmp_path,
-                                                            capsys, monkeypatch):
-        trained = []
-        monkeypatch.setattr(harness, "train_loop", lambda *args, **kwargs: trained.append(1))
-        assert run_cli("sweep-timeres", "--audio-dir", str(cli_dataset),
-                       "--diagnosis-file", str(cli_dataset / "diagnosis.csv"),
-                       *self.DESK_FLAGS, "--out-dir", str(tmp_path), "--jobs", "1",
-                       "--widths", "32,50") == 2
-        err = capsys.readouterr().err
-        assert "not divisible" in err and "50" in err and "cnn_moe" in err
-        assert not trained  # the width is rejected before the first one trains
-        assert not list(tmp_path.glob("run_*/sweep_timeres.csv"))
 
     @pytest.mark.parametrize("command", ["sweep-cycle", "sweep-timeres"])
     def test_empty_audio_dir_is_data_error(self, tmp_path, command, capsys):

@@ -1,6 +1,7 @@
 """Metrics, experiment config, fold training, CV reports and sweeps."""
 
 import ctypes
+import dataclasses
 import logging
 import multiprocessing
 import os
@@ -109,6 +110,17 @@ class TestExperimentConfig:
         with pytest.raises(ParameterError):
             harness.config_from_dict({"mixup": "maybe"})
 
+    @pytest.mark.parametrize("make", [
+        lambda: harness.ExperimentConfig(patch_width=50),
+        lambda: harness.ExperimentConfig(min_cycle_seconds=float("inf")),
+        lambda: harness.ExperimentConfig(early_stop_acc=float("nan")),
+        lambda: TrainConfig(lr=float("nan")),
+        lambda: dataclasses.replace(desk_config(), k=1),
+    ], ids=["width-50", "inf-seconds", "nan-early-stop-acc", "nan-lr", "replace-k-1"])
+    def test_config_checks_itself_when_made(self, make):
+        with pytest.raises(ParameterError):
+            make()
+
     def test_train_keys_flattened(self):
         cfg = harness.config_from_dict({"epochs": "7", "lr": "0.01"})
         assert cfg.train.epochs == 7
@@ -193,7 +205,8 @@ class TestFoldCheckpoint:
         path = tmp_path / "m.rsdl"
         cfg, model, _ = _saved_member(path, "cnn_moe")
         header, arrays = load_checkpoint(path)
-        retired = "beta1=0.9\nbeta2=0.999\neps=1e-08\nmixup_alpha=0.2\nmoe_experts=10\n"
+        retired = ("beta1=0.9\nbeta2=0.999\neps=1e-08\nmixup_alpha=0.2\nmoe_experts=10\n"
+                   "early_stop_patience=4\n")
         save_checkpoint(path, retired + header, arrays)
         ckpt = harness.load_fold_checkpoint(path)
         assert ckpt.config == cfg
@@ -405,22 +418,23 @@ class TestRunFold:
 
 
 class TestTrainState:
+    # the rule at other patiences than the constant's 3
     @pytest.mark.parametrize("accs,patience,stops_after", [
         ([0.99, 0.99, 0.99], 2, 2),
         ([0.99, 0.5, 0.99, 0.99], 2, 4),  # the dip resets the count
         ([0.5, 0.99, 0.98, 0.97, 0.99, 0.99, 0.99], 3, 7),
         ([0.98, 0.5], 1, 1),  # at the threshold counts
         ([0.99, 0.97, 0.99, 0.97], 2, None),
-        ([0.99, 0.99], 0, 1),  # a patience below one acts as one
     ])
-    def test_early_stop_rule(self, accs, patience, stops_after):
-        stops = [n for n in range(len(accs) + 1)
-                 if harness.early_stopped(accs[:n], 0.98, patience)]
+    def test_early_stop_rule(self, accs, patience, stops_after, monkeypatch):
+        monkeypatch.setattr(harness, "EARLY_STOP_PATIENCE", patience)
+        stops = [n for n in range(len(accs) + 1) if harness.early_stopped(accs[:n], 0.98)]
         assert (stops[0] if stops else None) == stops_after
-        assert not harness.early_stopped(accs, 0.0, patience)  # 0 disables the stop
+        assert not harness.early_stopped(accs, 0.0)  # 0 disables the stop
 
     def test_train_loop_stops_by_the_rule(self, monkeypatch):
-        accs = [0.99, 0.5, 0.99, 0.99, 0.99, 0.99]
+        assert harness.EARLY_STOP_PATIENCE == 3
+        accs = [0.99, 0.5, 0.99, 0.99, 0.99, 0.99, 0.99]
 
         def epoch(state, *args):
             state.history.append((len(state.history) + 1, 0.0, 0.0))
@@ -428,9 +442,9 @@ class TestTrainState:
 
         monkeypatch.setattr(harness, "run_epoch", epoch)
         model = models.CNNMoE(4, patch_width=32, n_experts=2)
-        history, train_accs = harness.train_loop(model, None, None, TrainConfig(epochs=6),
-                                                 early_stop_acc=0.98, early_stop_patience=2)
-        assert train_accs == accs[:4] and len(history) == 4
+        history, train_accs = harness.train_loop(model, None, None, TrainConfig(epochs=7),
+                                                 early_stop_acc=0.98)
+        assert train_accs == accs[:5] and len(history) == 5
 
     @pytest.mark.parametrize("name", ["cnn_moe", "crnn"])
     def test_resumed_record_continues_bit_identically(self, name, rng):
@@ -755,6 +769,17 @@ class TestSweeps:
                 got = relabeled[task, 0.5, width]
                 assert got.keys() == built[0].keys()
                 assert all(got[eid].spec is built[0][eid].spec for eid in got)
+
+    @pytest.mark.parametrize("key,values", [("min_cycle_seconds", [float("nan")]),
+                                            ("patch_width", [32, 50])],
+                             ids=["nan-length", "width-50"])
+    def test_bad_value_fails_before_any_wav_is_decoded(self, tiny_manifest, monkeypatch,
+                                                        key, values):
+        decoded = []
+        monkeypatch.setattr(ingest, "load_wav", lambda path: decoded.append(path))
+        with pytest.raises(ParameterError, match=key):
+            harness.sweep(desk_config(), tiny_manifest, key, values)
+        assert not decoded
 
     def test_best_flag_tie_goes_to_smaller_setting(self):
         rows = [

@@ -304,8 +304,7 @@ class TestOverfitOracle:
         x, y = gaussian_blob_set(rng, n_per_class=10, width=32)
         model = build()
         cfg = TrainConfig(epochs=200, batch_size=10, lr=1e-3, seed=1)
-        _, accs = train_loop(model, x, y, cfg, early_stop_acc=0.95,
-                             early_stop_patience=2)
+        _, accs = train_loop(model, x, y, cfg, early_stop_acc=0.95)
         assert max(accs) >= 0.95
         assert len(accs) <= 200
 

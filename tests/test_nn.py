@@ -547,6 +547,11 @@ class TestDropout:
         assert layer.forward(x, train=False) is x
         np.testing.assert_array_equal(layer.backward(x), x)
 
+    @pytest.mark.parametrize("p", [-0.1, 1.0, 1.5])
+    def test_rate_outside_unit_interval_is_parameter_error(self, rng, p):
+        with pytest.raises(ParameterError, match="dropout rate"):
+            Dropout(p, rng)
+
     @pytest.mark.parametrize("dtype", [np.float32, F64])
     def test_matches_float_mask_formula_bit_for_bit(self, rng, dtype):
         p = 0.25
