@@ -10,17 +10,19 @@ are scored and fused in the calling process. A member trains through one
 epoch loop: ``run_epoch`` advances its ``TrainState`` (model, ``Adam``,
 shuffle, mixup and dropout generators, history and train accuracies, and
 the selection's best score and state) by an epoch, and ``train_loop``
-repeats it up to the epoch count or the early stop. A trained member is one
-``MemberResult``: its history, its held-out probabilities and the fold's
-norm statistics; its model state stays in the job, which writes the
-member's checkpoint and history into the run's directory, if it has one. A
-``FoldResult`` is the fold's score and its members.
+repeats it up to the epoch count or the early stop. A job returns only its
+member's held-out entity probabilities; its model state, history and norm
+statistics stay in the job, which writes the member's checkpoint and history
+into the run's directory, if it has one. A ``FoldResult`` is the fold's
+score and the probabilities it was computed from: the member's, or the mean
+of an ensemble's two members'.
 
 Evaluation is always at entity level (cycles for Task 1, recordings for
-Task 2): patch probabilities are averaged per entity, the argmax is the
-prediction. Specificity is accuracy over the baseline class (Normal or
-Healthy), sensitivity is exact-class accuracy over everything else, and the
-headline score is their arithmetic mean.
+Task 2): patch probabilities are averaged per entity, then an ensemble's
+member probabilities per entity (both by ``models.mean_probs``), and the
+argmax is the prediction. Specificity is accuracy over the baseline class
+(Normal or Healthy), sensitivity is exact-class accuracy over everything
+else, and the headline score is their arithmetic mean.
 """
 
 from __future__ import annotations
@@ -247,13 +249,11 @@ class Metrics:
     specificity: float
     sensitivity: float
     icbhi_score: float
-    confusion: list  # N x N counts, confusion[true][pred]
-    n_entities: int
 
     @classmethod
-    def of(cls, specificity, sensitivity, confusion: np.ndarray) -> Metrics:
+    def of(cls, specificity, sensitivity) -> Metrics:
         spec, sen = float(specificity), float(sensitivity)
-        return cls(spec, sen, (spec + sen) / 2.0, confusion.tolist(), int(confusion.sum()))
+        return cls(spec, sen, (spec + sen) / 2.0)
 
 
 def compute_metrics(predictions: dict, truths: dict, task: str) -> Metrics:
@@ -271,7 +271,7 @@ def compute_metrics(predictions: dict, truths: dict, task: str) -> Metrics:
     other_total = conf[1:].sum()
     if baseline_total == 0 or other_total == 0:
         raise ParameterError("need entities in both the baseline and the other classes")
-    return Metrics.of(conf[0, 0] / baseline_total, np.trace(conf[1:, 1:]) / other_total, conf)
+    return Metrics.of(conf[0, 0] / baseline_total, np.trace(conf[1:, 1:]) / other_total)
 
 
 def score(probs: dict, truths: dict, task: str) -> Metrics:
@@ -475,7 +475,7 @@ def evaluate_entities(model, groups: dict, batch_size: int = 64) -> dict:
     out = {}
     pos = 0
     for eid, size in zip(order, sizes):
-        out[eid] = models.aggregate_patches(probs[pos : pos + size])
+        out[eid] = models.mean_probs(probs[pos : pos + size])
         pos += size
     return out
 
@@ -486,23 +486,13 @@ def evaluate_entities(model, groups: dict, batch_size: int = 64) -> dict:
 
 
 @dataclass
-class MemberResult:
-    """One member model trained on one fold, without its model state."""
-
-    name: str
-    history: list  # (epoch, train_loss, heldout_score) per epoch
-    heldout_probs: dict  # entity id -> class probabilities
-    stats: dsp.NormStats  # the fold's training normalization
-
-
-@dataclass
 class FoldResult:
-    """One fold's score (the fused members' for an ensemble) and its
-    members, in ``_model_names`` order."""
+    """One fold's score and the held-out entity probabilities it was
+    computed from: the member's, or the mean of an ensemble's members'."""
 
     fold_id: int
     metrics: Metrics
-    members: list[MemberResult]
+    probs: dict  # entity id -> class probabilities
 
 
 @dataclass
@@ -565,17 +555,13 @@ def heldout_set(features: dict[str, EntityFeatures], heldout_ids, stats: dsp.Nor
 
 
 def fold_result(config: ExperimentConfig, fold_id: int, features: dict[str, EntityFeatures],
-                members: list[MemberResult]) -> FoldResult:
-    """Score a fold's trained members on the entities they were held out
-    on; an ensemble is scored on its two members' fused probabilities."""
-    if config.model == "ensemble":
-        cnn_moe, crnn = (m.heldout_probs for m in members)
-        probs = {eid: models.ensemble_fuse(cnn_moe[eid], crnn[eid]) for eid in cnn_moe}
-    else:
-        (member,) = members
-        probs = member.heldout_probs
+                member_probs: list[dict]) -> FoldResult:
+    """Score a fold on the per-entity mean of its members' held-out
+    probabilities (``_member_job`` results); one member's mean is its own
+    probabilities, unchanged."""
+    probs = {eid: models.mean_probs([p[eid] for p in member_probs]) for eid in member_probs[0]}
     truths = {eid: features[eid].label for eid in probs}
-    return FoldResult(fold_id, score(probs, truths, config.task), members)
+    return FoldResult(fold_id, score(probs, truths, config.task), probs)
 
 
 @dataclass
@@ -588,7 +574,7 @@ class CVResult:
 def _mean_metrics(per_fold: list[Metrics]) -> Metrics:
     spec = float(np.mean([m.specificity for m in per_fold]))
     sen = float(np.mean([m.sensitivity for m in per_fold]))
-    return Metrics.of(spec, sen, np.sum([np.asarray(m.confusion) for m in per_fold], axis=0))
+    return Metrics.of(spec, sen)
 
 
 # Peak resident memory of one training worker, an upper bound: fit ~5% above
@@ -662,9 +648,9 @@ def _start_worker():
         set_threads(1)
 
 
-def _member_job(i: int) -> tuple[int, MemberResult]:
-    """Train job ``i`` of the running ``run_cv``: one member on one fold,
-    scored on the held-out entities.
+def _member_job(i: int) -> tuple[int, dict]:
+    """Train job ``i`` of the running ``run_cv``: one member on one fold.
+    Returns ``i`` and the member's held-out entity probabilities.
 
     The state kept is the best held-out-score epoch's (or the final one
     under ``select=final``). Given the run's directory, the job writes the
@@ -672,7 +658,8 @@ def _member_job(i: int) -> tuple[int, MemberResult]:
     aborted checkpoint an earlier run left; on a NaN abort it writes the
     last good state as ``ckpt_<member>_fold<k>.aborted.rsdl``, and the
     NumericalError names the member, the fold and that file (None without
-    a directory). The state never leaves the job.
+    a directory). The state, the history and the norm statistics never
+    leave the job.
     """
     config, fold_id, name = _RUN["jobs"][i]
     inputs = fold_inputs(config, fold_id, _RUN["features"], _RUN["folds"])
@@ -708,8 +695,7 @@ def _member_job(i: int) -> tuple[int, MemberResult]:
         save(run_dir / f"ckpt_{stem}.rsdl", model.state())
         (run_dir / f"history_{stem}.csv").write_text(history_csv(history))
         aborted.unlink(missing_ok=True)
-    return i, MemberResult(name, history, evaluate_entities(model, inputs.heldout_groups),
-                           inputs.stats)
+    return i, evaluate_entities(model, inputs.heldout_groups)
 
 
 def member_pool(workers: int):
@@ -731,14 +717,16 @@ def run_cv(
 ) -> CVResult:
     """Run every fold (or ``fold_ids``) and average.
 
-    Each (fold, member) pair is one ``_member_job``; given ``run_dir``, each
-    job writes its member's checkpoint and history there as it finishes, so
-    a failure keeps the members finished before it. With more than one
+    Each (fold, member) pair is one ``_member_job``, which returns only the
+    member's held-out probabilities; given ``run_dir``, each job writes its
+    member's checkpoint and history there as it finishes, so a failure keeps
+    the members finished before it, and a caller that wants a member's
+    history or norm statistics reads them from there. With more than one
     worker (``worker_count``) the jobs run side by side in a process pool,
     and the first member to fail (in time, not in job order) is raised at
     once while the members still training are stopped; otherwise the same
     jobs run here one after another. Either way each fold is scored in this
-    process, in fold order.
+    process, in fold order, by ``fold_result``.
     """
     fold_ids = list(fold_ids) if fold_ids is not None else list(range(folds.k))
     names = _model_names(config)
@@ -748,11 +736,11 @@ def run_cv(
     try:
         with member_pool(workers) if workers > 1 else nullcontext() as pool:
             run = map if pool is None else pool.imap_unordered
-            members = [member for _, member in sorted(run(_member_job, range(len(jobs))))]
+            member_probs = [probs for _, probs in sorted(run(_member_job, range(len(jobs))))]
     finally:
         _RUN.clear()
     results = [
-        fold_result(config, f, features, members[i * len(names):(i + 1) * len(names)])
+        fold_result(config, f, features, member_probs[i * len(names):(i + 1) * len(names)])
         for i, f in enumerate(fold_ids)
     ]
     return CVResult(config, results, _mean_metrics([r.metrics for r in results]))
@@ -857,7 +845,8 @@ def _relabel(features: dict[str, EntityFeatures], manifest: ingest.DatasetManife
     return {eid: replace(feat, label=labels[eid]) for eid, feat in features.items()}
 
 
-# swept config key -> (its value type, the two sub-tasks it is swept over)
+# swept config key -> (the type the CLI parses its values with, the two
+# sub-tasks it is swept over)
 SWEEP_KEYS = {
     "min_cycle_seconds": (float, ("Task1_4class", "Task1_2class")),
     "patch_width": (int, ("Task2_3class", "Task2_2class")),
@@ -874,11 +863,13 @@ def sweep(config: ExperimentConfig, manifest: ingest.DatasetManifest, key: str, 
     patch widths); one build is held at a time and both sub-tasks share it.
     Rows are task-major, each task's in the order of ``values``; a
     patch-width row also reports its frame count and the seconds the patch
-    spans (width * hop / 16 kHz). Every point's config is made first, so
-    a value the config rejects is a ParameterError before anything is read.
+    spans (width * hop / 16 kHz). Each value is used as given, not
+    converted, and every point's config is made first, so a value the
+    config rejects (a non-integer width included) is a ParameterError
+    before anything is read.
     """
-    kind, tasks = SWEEP_KEYS[key]
-    settings = [replace(config, **{key: kind(value)}) for value in values]
+    tasks = SWEEP_KEYS[key][1]
+    settings = [replace(config, **{key: value}) for value in values]
     rows = {task: [] for task in tasks}
     features, built_for = None, None
     for setting in settings:

@@ -244,18 +244,12 @@ def build_model(name, n_classes, patch_width=128, seed=0, gru_hidden=512,
     raise ParameterError(f"unknown model {name!r}")
 
 
-def aggregate_patches(patch_probs) -> np.ndarray:
-    """Entity-level probabilities: arithmetic mean of patch probability rows."""
-    rows = [np.asarray(p, dtype=np.float64) for p in patch_probs]
-    if not rows:
-        raise ParameterError("aggregate_patches needs at least one patch")
+def mean_probs(rows) -> np.ndarray:
+    """The arithmetic mean of probability rows, in float64: the mean of an
+    entity's patch rows, and the fusion of ensemble members' entity rows.
+    No rows, or rows of different shapes, is a ParameterError."""
+    rows = [np.asarray(row, dtype=np.float64) for row in rows]
+    shapes = {row.shape for row in rows}
+    if len(shapes) != 1:
+        raise ParameterError(f"mean_probs needs rows of one shape, got {sorted(shapes)}")
     return np.mean(rows, axis=0)
-
-
-def ensemble_fuse(p_a: np.ndarray, p_b: np.ndarray) -> np.ndarray:
-    """Average the two models' probabilities element-wise."""
-    p_a = np.asarray(p_a, dtype=np.float64)
-    p_b = np.asarray(p_b, dtype=np.float64)
-    if p_a.shape != p_b.shape:
-        raise ParameterError(f"ensemble shapes differ: {p_a.shape} vs {p_b.shape}")
-    return (p_a + p_b) / 2.0

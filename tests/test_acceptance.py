@@ -101,10 +101,10 @@ class TestAcceptance:
     def test_fusion_semantics(self, rng):
         a = softmax(rng.standard_normal((10, 4)))
         b = softmax(rng.standard_normal((10, 4)))
-        fused = models.ensemble_fuse(a, b)
+        fused = models.mean_probs([a, b])
         ok_mean = np.allclose(fused, (a + b) / 2.0, atol=1e-12)
-        ok_idem = np.allclose(models.ensemble_fuse(a, a), a, atol=1e-12)
-        ok_sym = np.allclose(models.ensemble_fuse(b, a), fused, atol=1e-12)
+        ok_idem = np.allclose(models.mean_probs([a, a]), a, atol=1e-12)
+        ok_sym = np.allclose(models.mean_probs([b, a]), fused, atol=1e-12)
         report("ensemble fusion semantics", ok_mean and ok_idem and ok_sym)
 
     def test_metric_oracle(self):

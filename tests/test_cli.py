@@ -680,6 +680,16 @@ class TestSweepCommands:
         for task in tasks:
             assert sum(row[7] == "1" for row in rows if row[0] == task) == 1
         assert capsys.readouterr().out == "\n".join(lines) + "\n\n"
+        # train reproduces a sweep row: the first sub-task at the first value
+        # (the desk flags' own), on the fold a sweep scores
+        assert run_cli("train", "--audio-dir", str(cli_dataset),
+                       "--diagnosis-file", str(cli_dataset / "diagnosis.csv"),
+                       *self.DESK_FLAGS, "--out-dir", str(tmp_path / "train"),
+                       "--fold", "0", "--task", tasks[0]) == 0
+        trained, = (tmp_path / "train").glob("run_*")
+        fold0 = (trained / "report.csv").read_text().splitlines()[1].split(",")
+        assert fold0[:3] == [tasks[0], rows[0][1], "0"]
+        assert fold0[3:6] == rows[0][4:7]
 
     @pytest.mark.parametrize("command,values", [
         ("sweep-cycle", ("--lengths", "0.5,abc")),

@@ -56,16 +56,9 @@ class TestComputeMetrics:
                  "e4": 1, "e5": 2, "e6": 1, "e7": 2, "e8": 0, "e9": 3}
         m = compute_metrics(preds, truths, "Task1_4class")
         assert m.specificity == pytest.approx(2 / 4)
+        # exact-class sensitivity: the e5 cross-anomaly miss is not credited
         assert m.sensitivity == pytest.approx(4 / 6)
         assert m.icbhi_score == pytest.approx((2 / 4 + 4 / 6) / 2)
-        assert m.confusion == [
-            [2, 1, 0, 1],
-            [0, 2, 1, 0],
-            [1, 0, 1, 0],
-            [0, 0, 0, 1],
-        ]
-        # exact-class sensitivity: the e5 cross-anomaly miss is not credited
-        assert m.confusion[1][2] == 1
 
     def test_multiclass_sensitivity_needs_exact_class(self):
         truths = {"a": 1, "b": 2, "n": 0}
@@ -247,10 +240,25 @@ class TestFoldCheckpoint:
 
 
 @pytest.fixture(scope="module")
-def quick_result(synth_features, synth_folds):
+def quick_result(synth_features, synth_folds, tmp_path_factory):
+    """A one-fold CNN-MoE run: its config, its fold result and the run
+    directory its member job wrote the checkpoint and history to."""
     cfg = desk_config(train=TrainConfig(epochs=3, batch_size=8, lr=1e-3, seed=11),
                       early_stop_acc=0.0)
-    return cfg, harness.run_fold(cfg, 0, synth_features, synth_folds)
+    run_dir = tmp_path_factory.mktemp("quick")
+    result = harness.run_cv(cfg, synth_features, synth_folds, [0], run_dir=run_dir)
+    return cfg, result.fold_results[0], run_dir
+
+
+@pytest.fixture(scope="module")
+def ensemble_fold(synth_features, synth_folds, tmp_path_factory):
+    """The same for one ensemble fold."""
+    cfg = desk_config(model="ensemble",
+                      train=TrainConfig(epochs=2, batch_size=8, lr=1e-3, seed=5),
+                      early_stop_acc=0.0)
+    run_dir = tmp_path_factory.mktemp("ensemble")
+    result = harness.run_cv(cfg, synth_features, synth_folds, [0], run_dir=run_dir)
+    return cfg, result.fold_results[0], run_dir
 
 
 @pytest.fixture(scope="module")
@@ -326,43 +334,45 @@ class TestFrontEnd:
         np.testing.assert_array_equal(patches[3], ((spec[:, 68:] - 2.0) / 4.0).astype(np.float32))
 
 
-def assert_same_members(a, b, dir_a, dir_b):
-    """Two results of one fold: the same member names, histories and
-    held-out probabilities, bit for bit, and the same checkpoint and
-    history files, as the member jobs wrote them under ``dir_a`` and
-    ``dir_b``, byte for byte; equal probabilities give equal member
-    metrics."""
+def assert_same_members(a, b, names, dir_a, dir_b):
+    """Two results of one fold: the same held-out probabilities, bit for
+    bit, and, for each member in ``names``, the same checkpoint and history
+    files, as the member jobs wrote them under ``dir_a`` and ``dir_b``,
+    byte for byte."""
     assert a.fold_id == b.fold_id
-    assert [m.name for m in a.members] == [m.name for m in b.members]
-    for one, two in zip(a.members, b.members, strict=True):
-        assert one.history == two.history
-        assert one.stats == two.stats
-        assert one.heldout_probs.keys() == two.heldout_probs.keys()
-        for eid in one.heldout_probs:
-            np.testing.assert_array_equal(one.heldout_probs[eid], two.heldout_probs[eid])
-        stem = f"{one.name}_fold{a.fold_id}"
-        assert (dir_a / f"history_{stem}.csv").read_text() == harness.history_csv(one.history)
+    assert a.probs.keys() == b.probs.keys()
+    for eid in a.probs:
+        np.testing.assert_array_equal(a.probs[eid], b.probs[eid])
+    for member in names:
+        stem = f"{member}_fold{a.fold_id}"
         for name in (f"ckpt_{stem}.rsdl", f"history_{stem}.csv"):
             assert (dir_a / name).read_bytes() == (dir_b / name).read_bytes()
 
 
+def read_history(run_dir, member, fold_id):
+    """The (epoch, train_loss, heldout_score) rows a member job wrote."""
+    lines = (run_dir / f"history_{member}_fold{fold_id}.csv").read_text().splitlines()
+    assert lines[0] == "epoch,train_loss,heldout_score"
+    return [(int(epoch), float(loss), float(score))
+            for epoch, loss, score in (line.split(",") for line in lines[1:])]
+
+
 class TestRunFold:
     def test_history_length_equals_epochs(self, quick_result):
-        cfg, result = quick_result
-        member, = result.members
-        assert member.name == "cnn_moe"
-        assert len(member.history) == cfg.train.epochs
-        epochs = [row[0] for row in member.history]
+        cfg, _, run_dir = quick_result
+        history = read_history(run_dir, "cnn_moe", 0)
+        assert len(history) == cfg.train.epochs
+        epochs = [row[0] for row in history]
         assert epochs == [1, 2, 3]
 
     def test_no_leakage_id_tracking(self, quick_result, synth_features, synth_folds):
-        _, result = quick_result
-        member, = result.members
+        _, result, run_dir = quick_result
         held = {e for e, f in synth_folds.assignment.items() if f == 0}
         train_ids = sorted(e for e in synth_features if e not in held)
         assert held and train_ids and set(synth_features) == held | set(train_ids)
-        assert member.stats == dsp.fit_norm_stats([synth_features[e].spec for e in train_ids])
-        assert set(member.heldout_probs) == held
+        stats = harness.load_fold_checkpoint(run_dir / "ckpt_cnn_moe_fold0.rsdl").stats
+        assert stats == dsp.fit_norm_stats([synth_features[e].spec for e in train_ids])
+        assert set(result.probs) == held
 
     def test_determinism(self, synth_features, synth_folds, tmp_path):
         cfg = desk_config(train=TrainConfig(epochs=2, batch_size=8, lr=1e-3, seed=21),
@@ -373,18 +383,19 @@ class TestRunFold:
         a, b = (harness.run_cv(cfg, synth_features, synth_folds, [1], run_dir=d).fold_results[0]
                 for d in dirs)
         assert a.metrics == b.metrics
-        assert_same_members(a, b, *dirs)
+        assert_same_members(a, b, ["cnn_moe"], *dirs)
 
     @pytest.mark.parametrize("select", ["best", "final"])
-    def test_select_keeps_that_epochs_state(self, select, synth_features, synth_folds):
+    def test_select_keeps_that_epochs_state(self, select, synth_features, synth_folds,
+                                            tmp_path):
         cfg = desk_config(train=TrainConfig(epochs=4, batch_size=8, lr=1e-3, seed=31),
                           early_stop_acc=0.0, select=select)
-        member, = harness.run_fold(cfg, 0, synth_features, synth_folds).members
-        scores = [row[2] for row in member.history]
+        result = harness.run_cv(cfg, synth_features, synth_folds, [0],
+                                run_dir=tmp_path).fold_results[0]
+        scores = [row[2] for row in read_history(tmp_path, "cnn_moe", 0)]
         assert max(scores) > scores[-1]  # the best epoch is not the last one
-        truths = {eid: synth_features[eid].label for eid in member.heldout_probs}
         kept = scores[-1] if select == "final" else max(scores)
-        assert harness.score(member.heldout_probs, truths, cfg.task).icbhi_score == kept
+        assert result.metrics.icbhi_score == kept
 
     def test_nan_abort_keeps_last_good(self, synth_features, synth_folds, monkeypatch,
                                        tmp_path):
@@ -404,17 +415,35 @@ class TestRunFold:
         assert (ckpt.fold_id, ckpt.model.name) == (0, "cnn_moe")
         assert any(k.endswith(".W") for k in ckpt.model.state())
 
-    def test_ensemble_trains_both_members(self, synth_features, synth_folds):
-        cfg = desk_config(model="ensemble",
-                          train=TrainConfig(epochs=2, batch_size=8, lr=1e-3, seed=5),
-                          early_stop_acc=0.0)
-        result = harness.run_fold(cfg, 0, synth_features, synth_folds)
-        assert [m.name for m in result.members] == ["cnn_moe", "crnn"]
+    def test_ensemble_trains_both_members(self, ensemble_fold, synth_folds):
+        cfg, result, run_dir = ensemble_fold
+        assert sorted(f.name for f in run_dir.iterdir()) == [
+            "ckpt_cnn_moe_fold0.rsdl", "ckpt_crnn_fold0.rsdl",
+            "history_cnn_moe_fold0.csv", "history_crnn_fold0.csv"]
+        for member in ("cnn_moe", "crnn"):
+            assert len(read_history(run_dir, member, 0)) == cfg.train.epochs
         held = {e for e, f in synth_folds.assignment.items() if f == 0}
-        for member in result.members:
-            assert len(member.history) == cfg.train.epochs
-            assert set(member.heldout_probs) == held
+        assert set(result.probs) == held
         assert 0.0 <= result.metrics.icbhi_score <= 1.0
+
+    def test_fold_probs_are_its_checkpoints_mean(self, ensemble_fold, synth_features,
+                                                 synth_folds):
+        # the members rebuilt from their checkpoints score the held-out set
+        # as the fold did: the mean of their probabilities is FoldResult.probs
+        cfg, result, run_dir = ensemble_fold
+        _, heldout_ids = harness.fold_split(synth_features, synth_folds, 0)
+        member_probs = []
+        for member in ("cnn_moe", "crnn"):
+            ckpt = harness.load_fold_checkpoint(run_dir / f"ckpt_{member}_fold0.rsdl")
+            assert (ckpt.config, ckpt.fold_id, ckpt.model.name) == (cfg, 0, member)
+            groups, truths = harness.heldout_set(synth_features, heldout_ids, ckpt.stats,
+                                                 cfg.patch_width)
+            member_probs.append(harness.evaluate_entities(ckpt.model, groups))
+        assert result.probs.keys() == set(heldout_ids)
+        for eid in heldout_ids:
+            fused = models.mean_probs([probs[eid] for probs in member_probs])
+            np.testing.assert_array_equal(fused, result.probs[eid])
+        assert harness.score(result.probs, truths, cfg.task) == result.metrics
 
 
 class TestTrainState:
@@ -533,17 +562,26 @@ class TestRunCV:
             assert harness.report_csv(results[2]) == harness.report_csv(results[1])
             for one, two in zip(results[1].fold_results, results[2].fold_results, strict=True):
                 assert one.metrics == two.metrics
-                assert_same_members(one, two, dirs[1], dirs[2])
+                assert_same_members(one, two, harness._model_names(cfg), dirs[1], dirs[2])
 
-    def test_only_scores_cross_the_pool(self, synth_features, synth_folds):
-        # a member's state (18 MB for the desk CNN-MoE) stays in its job
+    def test_only_scores_cross_the_pool(self, synth_features, synth_folds, monkeypatch):
+        # a member's state (18 MB for the desk CNN-MoE) stays in its job,
+        # which returns its held-out probabilities alone
+        fold_result, received = harness.fold_result, []
+
+        def spy(config, fold_id, features, member_probs):
+            received.extend(member_probs)
+            return fold_result(config, fold_id, features, member_probs)
+
+        monkeypatch.setattr(harness, "fold_result", spy)
         cfg = desk_config(model="ensemble", early_stop_acc=0.0, jobs=2,
                           train=TrainConfig(epochs=1, batch_size=8, lr=1e-3, seed=13))
         result = harness.run_cv(cfg, synth_features, synth_folds, fold_ids=[0, 1])
-        members = [m for r in result.fold_results for m in r.members]
-        assert [m.name for m in members] == ["cnn_moe", "crnn"] * 2
-        for member in members:
-            assert len(pickle.dumps(member)) < 64 * 1024
+        assert len(received) == 4  # 2 folds x 2 members
+        for i, probs in enumerate(received):
+            assert probs.keys() == result.fold_results[i // 2].probs.keys()
+            assert all(isinstance(p, np.ndarray) for p in probs.values())
+            assert len(pickle.dumps((i, probs))) < 64 * 1024
 
     def test_abort_keeps_the_members_finished_before_it(self, synth_manifest, synth_features,
                                                         monkeypatch, tmp_path):
@@ -654,13 +692,13 @@ class TestRunCV:
 
     def test_duplicated_fold_mean_equals_each(self, synth_features, synth_folds):
         m = harness._mean_metrics([
-            harness.Metrics(0.8, 0.9, 0.85, [[1, 0], [0, 1]], 2),
-            harness.Metrics(0.8, 0.9, 0.85, [[1, 0], [0, 1]], 2),
+            harness.Metrics(0.8, 0.9, 0.85),
+            harness.Metrics(0.8, 0.9, 0.85),
         ])
         assert m.icbhi_score == pytest.approx(0.85)
         m2 = harness._mean_metrics([
-            harness.Metrics(0.8, 0.8, 0.8, [[1, 0], [0, 1]], 2),
-            harness.Metrics(0.9, 0.9, 0.9, [[1, 0], [0, 1]], 2),
+            harness.Metrics(0.8, 0.8, 0.8),
+            harness.Metrics(0.9, 0.9, 0.9),
         ])
         assert m2.icbhi_score == pytest.approx(0.85)
 
@@ -743,7 +781,7 @@ class TestSweeps:
 
         def record_point(config, features, folds, fold_ids=None):
             relabeled[config.task, config.min_cycle_seconds, config.patch_width] = features
-            return harness.CVResult(config, [], harness.Metrics(0.5, 0.5, 0.5, [], 0))
+            return harness.CVResult(config, [], harness.Metrics(0.5, 0.5, 0.5))
 
         monkeypatch.setattr(harness, "build_features", spy)
         monkeypatch.setattr(harness, "run_cv", record_point)
@@ -771,8 +809,9 @@ class TestSweeps:
                 assert all(got[eid].spec is built[0][eid].spec for eid in got)
 
     @pytest.mark.parametrize("key,values", [("min_cycle_seconds", [float("nan")]),
-                                            ("patch_width", [32, 50])],
-                             ids=["nan-length", "width-50"])
+                                            ("patch_width", [32, 50]),
+                                            ("patch_width", [32.9])],
+                             ids=["nan-length", "width-50", "width-32.9"])
     def test_bad_value_fails_before_any_wav_is_decoded(self, tiny_manifest, monkeypatch,
                                                         key, values):
         decoded = []

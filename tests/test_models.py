@@ -234,47 +234,55 @@ class TestActivationLifetime:
 
 
 class TestAggregateAndFuse:
+    # models.mean_probs is both means: an entity's patch rows, and the
+    # ensemble members' entity rows
     def test_single_patch_unchanged(self):
         p = np.array([0.2, 0.3, 0.5])
-        np.testing.assert_allclose(models.aggregate_patches([p]), p)
+        np.testing.assert_array_equal(models.mean_probs([p]), p)
 
     def test_two_patch_mean(self):
-        out = models.aggregate_patches([np.array([1.0, 0.0]), np.array([0.0, 1.0])])
+        out = models.mean_probs([np.array([1.0, 0.0]), np.array([0.0, 1.0])])
         np.testing.assert_allclose(out, [0.5, 0.5])
 
     def test_mean_stays_on_simplex(self, rng):
         rows = [softmax(rng.standard_normal(5)) for _ in range(9)]
-        agg = models.aggregate_patches(rows)
+        agg = models.mean_probs(rows)
         assert agg.sum() == pytest.approx(1.0, abs=1e-9)
 
     def test_empty_rejected(self):
-        with pytest.raises(ParameterError):
-            models.aggregate_patches([])
+        with pytest.raises(ParameterError, match="one shape"):
+            models.mean_probs([])
 
     def test_fuse_idempotent(self, rng):
         p = softmax(rng.standard_normal((4, 3)))
-        np.testing.assert_allclose(models.ensemble_fuse(p, p), p, atol=1e-12)
+        np.testing.assert_allclose(models.mean_probs([p, p]), p, atol=1e-12)
 
-    def test_fuse_arithmetic_mean(self):
-        out = models.ensemble_fuse(np.array([[0.8, 0.2]]), np.array([[0.6, 0.4]]))
+    def test_fuse_arithmetic_mean(self, rng):
+        out = models.mean_probs([np.array([[0.8, 0.2]]), np.array([[0.6, 0.4]])])
         np.testing.assert_allclose(out, [[0.7, 0.3]], atol=1e-12)
+        # the two-member mean is (a + b) / 2 bit for bit, from float32 rows too
+        a = softmax(rng.standard_normal((20000, 4))).astype(np.float32)
+        b = softmax(rng.standard_normal((20000, 4)))
+        expected = (a.astype(np.float64) + b) / 2.0
+        np.testing.assert_array_equal(models.mean_probs([a, b]), expected)
 
     def test_fuse_symmetric(self, rng):
         a = softmax(rng.standard_normal((6, 4)))
         b = softmax(rng.standard_normal((6, 4)))
         np.testing.assert_allclose(
-            models.ensemble_fuse(a, b), models.ensemble_fuse(b, a), atol=1e-12
+            models.mean_probs([a, b]), models.mean_probs([b, a]), atol=1e-12
         )
 
     def test_fused_rows_sum_to_one(self, rng):
         a = softmax(rng.standard_normal((6, 4)))
         b = softmax(rng.standard_normal((6, 4)))
-        np.testing.assert_allclose(models.ensemble_fuse(a, b).sum(axis=1), 1.0,
-                                   atol=1e-9)
+        np.testing.assert_allclose(models.mean_probs([a, b]).sum(axis=1), 1.0, atol=1e-9)
 
-    def test_fuse_shape_mismatch(self, rng):
-        with pytest.raises(ParameterError):
-            models.ensemble_fuse(np.ones((2, 3)) / 3, np.ones((2, 4)) / 4)
+    def test_fuse_shape_mismatch(self):
+        with pytest.raises(ParameterError, match="one shape"):
+            models.mean_probs([np.ones((2, 3)) / 3, np.ones((2, 4)) / 4])
+        with pytest.raises(ParameterError, match="one shape"):
+            models.mean_probs([np.ones(3) / 3, np.ones(4) / 4])
 
 
 def gaussian_blob_set(rng, n_per_class=10, width=16):
