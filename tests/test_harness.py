@@ -239,26 +239,26 @@ class TestFoldCheckpoint:
             harness.load_fold_checkpoint(path)
 
 
+def _fold0(cfg, features, folds, run_dir):
+    """``cfg``'s fold 0 trained with a run directory: the config, the fold
+    result and the directory its member jobs wrote checkpoints and
+    histories to."""
+    return cfg, harness.run_cv(cfg, features, folds, [0], run_dir=run_dir).fold_results[0], run_dir
+
+
 @pytest.fixture(scope="module")
 def quick_result(synth_features, synth_folds, tmp_path_factory):
-    """A one-fold CNN-MoE run: its config, its fold result and the run
-    directory its member job wrote the checkpoint and history to."""
     cfg = desk_config(train=TrainConfig(epochs=3, batch_size=8, lr=1e-3, seed=11),
                       early_stop_acc=0.0)
-    run_dir = tmp_path_factory.mktemp("quick")
-    result = harness.run_cv(cfg, synth_features, synth_folds, [0], run_dir=run_dir)
-    return cfg, result.fold_results[0], run_dir
+    return _fold0(cfg, synth_features, synth_folds, tmp_path_factory.mktemp("quick"))
 
 
 @pytest.fixture(scope="module")
 def ensemble_fold(synth_features, synth_folds, tmp_path_factory):
-    """The same for one ensemble fold."""
     cfg = desk_config(model="ensemble",
                       train=TrainConfig(epochs=2, batch_size=8, lr=1e-3, seed=5),
                       early_stop_acc=0.0)
-    run_dir = tmp_path_factory.mktemp("ensemble")
-    result = harness.run_cv(cfg, synth_features, synth_folds, [0], run_dir=run_dir)
-    return cfg, result.fold_results[0], run_dir
+    return _fold0(cfg, synth_features, synth_folds, tmp_path_factory.mktemp("ensemble"))
 
 
 @pytest.fixture(scope="module")
@@ -431,14 +431,15 @@ class TestRunFold:
         # the members rebuilt from their checkpoints score the held-out set
         # as the fold did: the mean of their probabilities is FoldResult.probs
         cfg, result, run_dir = ensemble_fold
+        ckpts = [harness.load_fold_checkpoint(run_dir / f"ckpt_{member}_fold0.rsdl")
+                 for member in ("cnn_moe", "crnn")]
+        assert [(c.config, c.fold_id, c.model.name) for c in ckpts] == [
+            (cfg, 0, "cnn_moe"), (cfg, 0, "crnn")]
+        assert ckpts[0].stats == ckpts[1].stats
         _, heldout_ids = harness.fold_split(synth_features, synth_folds, 0)
-        member_probs = []
-        for member in ("cnn_moe", "crnn"):
-            ckpt = harness.load_fold_checkpoint(run_dir / f"ckpt_{member}_fold0.rsdl")
-            assert (ckpt.config, ckpt.fold_id, ckpt.model.name) == (cfg, 0, member)
-            groups, truths = harness.heldout_set(synth_features, heldout_ids, ckpt.stats,
-                                                 cfg.patch_width)
-            member_probs.append(harness.evaluate_entities(ckpt.model, groups))
+        groups, truths = harness.heldout_set(synth_features, heldout_ids, ckpts[0].stats,
+                                             cfg.patch_width)
+        member_probs = [harness.evaluate_entities(c.model, groups) for c in ckpts]
         assert result.probs.keys() == set(heldout_ids)
         for eid in heldout_ids:
             fused = models.mean_probs([probs[eid] for probs in member_probs])
