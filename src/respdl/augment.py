@@ -15,14 +15,16 @@ import numpy as np
 
 from .errors import ParameterError
 from .ingest import TARGET_RATE
+from .nn.optim import check_fields
 
 
-@dataclass
+@dataclass(frozen=True)
 class MixupConfig:
     alpha: float = 0.2  # Beta(alpha, alpha) parameter
     enabled: bool = True
 
     def __post_init__(self):
+        check_fields(self)
         if self.alpha <= 0:
             raise ParameterError("mixup alpha must be positive")
 

@@ -77,17 +77,14 @@ class UsageError(Exception):
 
 def _values_of(key):
     """An argparse type: comma-separated values of config ``key``, each
-    one a config accepts."""
-    kind = harness.SWEEP_KEYS[key][0]
+    parsed as ``harness.config_from_dict`` parses a config value."""
 
     def parse(text):
         try:
-            values = [kind(value) for value in text.split(",")]
-            for value in values:
-                harness.ExperimentConfig(**{key: value})
-        except (ValueError, ParameterError) as exc:
+            return [getattr(harness.config_from_dict({key: value}), key)
+                    for value in text.split(",")]
+        except ParameterError as exc:
             raise argparse.ArgumentTypeError(f"{text!r}: {exc}") from None
-        return values
     return parse
 
 

@@ -1,7 +1,8 @@
-"""Experiment orchestration: feature preparation, per-fold training and
-entity-level evaluation, cross-validation, challenge metrics, fold
-checkpoints, and the sweep behind the cycle-length and time-resolution
-analyses.
+"""Experiment orchestration: the run config (a frozen value, checked when
+made, and parsed from text by ``config_from_dict`` alone), feature
+preparation, per-fold training and entity-level evaluation,
+cross-validation, challenge metrics, fold checkpoints, and the sweep behind
+the cycle-length and time-resolution analyses.
 
 Cross-validation trains each (fold, member) pair as an independent job,
 ``_member_job``: in a pool of worker processes that each run BLAS on one
@@ -50,7 +51,7 @@ from .nn import (
     loss_ce_l2,
     save_checkpoint,
 )
-from .nn.optim import check_finite
+from .nn.optim import check_fields
 
 log = logging.getLogger(__name__)
 
@@ -67,12 +68,13 @@ def usable_cores() -> int:
     return os.cpu_count() or 1
 
 
-@dataclass
+@dataclass(frozen=True)
 class ExperimentConfig:
     """Everything a run needs; flat key=value serializable. A config checks
-    itself when it is made (a ParameterError names the first bad field),
-    so every config that exists is valid, whether built from flags, a
-    config file, a checkpoint header, ``replace`` or Python.
+    itself when it is made: its fields' types by ``check_fields`` (an int
+    for a float field is stored as a float), then their ranges, and a
+    ParameterError names the first bad field. Frozen, every config is
+    valid however it was made, and equal configs have one ``config_text``.
 
     Task 2 ignores ``min_cycle_seconds`` (entire recordings are used).
     ``jobs`` and ``out_dir`` say how and where a run executes, not what it
@@ -97,7 +99,7 @@ class ExperimentConfig:
     train: TrainConfig = field(default_factory=TrainConfig)
 
     def __post_init__(self):
-        check_finite(self)
+        check_fields(self)
         if self.task not in ingest.TASKS:
             raise ParameterError(f"task must be one of {ingest.TASKS}, got {self.task!r}")
         if self.model not in MODEL_CHOICES:
@@ -626,14 +628,9 @@ def worker_count(config: ExperimentConfig, n_jobs: int,
 
 
 def _openblas():
-    """numpy's bundled OpenBLAS library, or None when it has none."""
-    libs = Path(np.__file__).resolve().parent.parent / "numpy.libs"
-    for path in sorted(libs.glob("libscipy_openblas64_*.so")):
-        try:
-            return ctypes.CDLL(str(path))
-        except OSError:
-            continue
-    return None
+    """numpy's BLAS, through the extension module numpy has loaded, which
+    links it."""
+    return ctypes.CDLL((getattr(np, "_core", None) or np.core)._multiarray_umath.__file__)
 
 
 _RUN: dict = {}  # the running run_cv's jobs, data and run directory; pool workers fork with it
@@ -845,11 +842,11 @@ def _relabel(features: dict[str, EntityFeatures], manifest: ingest.DatasetManife
     return {eid: replace(feat, label=labels[eid]) for eid, feat in features.items()}
 
 
-# swept config key -> (the type the CLI parses its values with, the two
-# sub-tasks it is swept over)
+# swept config key -> the two sub-tasks it is swept over; its values are
+# the config's own (the CLI parses them as config_from_dict does)
 SWEEP_KEYS = {
-    "min_cycle_seconds": (float, ("Task1_4class", "Task1_2class")),
-    "patch_width": (int, ("Task2_3class", "Task2_2class")),
+    "min_cycle_seconds": ("Task1_4class", "Task1_2class"),
+    "patch_width": ("Task2_3class", "Task2_2class"),
 }
 
 
@@ -863,12 +860,11 @@ def sweep(config: ExperimentConfig, manifest: ingest.DatasetManifest, key: str, 
     patch widths); one build is held at a time and both sub-tasks share it.
     Rows are task-major, each task's in the order of ``values``; a
     patch-width row also reports its frame count and the seconds the patch
-    spans (width * hop / 16 kHz). Each value is used as given, not
-    converted, and every point's config is made first, so a value the
-    config rejects (a non-integer width included) is a ParameterError
-    before anything is read.
+    spans (width * hop / 16 kHz). Every point's config is made first, so a
+    value the config rejects (a width that is not an int, ``32.0``
+    included) is a ParameterError before anything is read.
     """
-    tasks = SWEEP_KEYS[key][1]
+    tasks = SWEEP_KEYS[key]
     settings = [replace(config, **{key: value}) for value in values]
     rows = {task: [] for task in tasks}
     features, built_for = None, None

@@ -100,7 +100,6 @@ class AudioRecording:
     samples: np.ndarray
     sample_rate: int
     recording_id: str
-    patient_id: str
 
 
 @dataclass(frozen=True)
@@ -266,13 +265,7 @@ def load_wav(path) -> AudioRecording:
     if samples.size == 0:
         raise FormatError(f"{path.name}: data chunk holds no samples")
 
-    stem = path.stem
-    return AudioRecording(
-        samples=samples,
-        sample_rate=sample_rate,
-        recording_id=stem,
-        patient_id=stem.split("_")[0],
-    )
+    return AudioRecording(samples=samples, sample_rate=sample_rate, recording_id=path.stem)
 
 
 def write_wav(path, samples: np.ndarray, sample_rate: int) -> None:

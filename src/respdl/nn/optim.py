@@ -1,25 +1,35 @@
-"""Adam optimizer and the training hyperparameter record."""
+"""Adam optimizer, the training hyperparameter record and the config field rule."""
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+import numbers
+from dataclasses import dataclass
+from typing import get_type_hints
 
 import numpy as np
 
 from ..errors import FormatError, ParameterError
 
 
-def check_finite(config) -> None:
-    """ParameterError naming the first float field of the dataclass
-    ``config`` that is not a finite number."""
-    for f in fields(config):
-        value = getattr(config, f.name)
-        if isinstance(value, float) and not math.isfinite(value):
-            raise ParameterError(f"{f.name} must be a finite number, got {value!r}")
+def check_fields(config) -> None:
+    """The field rule of a config record (a frozen dataclass), read from each
+    field's declared type: an int field takes an integer, a float field a
+    finite real, stored as ``float`` so ``2`` becomes ``2.0``, and neither
+    takes a bool; a bool, str or nested-config field takes only its own
+    type. Anything else is a ParameterError naming the field."""
+    for name, kind in get_type_hints(type(config)).items():
+        value = getattr(config, name)
+        accepted = {int: numbers.Integral, float: numbers.Real}.get(kind, kind)
+        if (not isinstance(value, accepted) or kind is not bool and isinstance(value, bool)
+                or kind is float and not math.isfinite(value)):
+            what = "a finite number" if kind is float else f"of type {kind.__name__}"
+            raise ParameterError(f"{name} must be {what}, got {value!r}")
+        if kind is float:
+            object.__setattr__(config, name, float(value))
 
 
-@dataclass
+@dataclass(frozen=True)
 class TrainConfig:
     """Training hyperparameters (defaults: 100 epochs, batches of 50,
     Adam at 1e-4, L2 lambda 1e-4)."""
@@ -31,7 +41,7 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        check_finite(self)
+        check_fields(self)
         if self.epochs < 1 or self.batch_size < 1:
             raise ParameterError("epochs and batch_size must be positive")
         if self.lr <= 0:

@@ -103,16 +103,43 @@ class TestExperimentConfig:
         with pytest.raises(ParameterError):
             harness.config_from_dict({"mixup": "maybe"})
 
-    @pytest.mark.parametrize("make", [
-        lambda: harness.ExperimentConfig(patch_width=50),
-        lambda: harness.ExperimentConfig(min_cycle_seconds=float("inf")),
-        lambda: harness.ExperimentConfig(early_stop_acc=float("nan")),
-        lambda: TrainConfig(lr=float("nan")),
-        lambda: dataclasses.replace(desk_config(), k=1),
-    ], ids=["width-50", "inf-seconds", "nan-early-stop-acc", "nan-lr", "replace-k-1"])
-    def test_config_checks_itself_when_made(self, make):
-        with pytest.raises(ParameterError):
+    @pytest.mark.parametrize("field,make", [
+        ("patch_width", lambda: harness.ExperimentConfig(patch_width=50)),
+        ("min_cycle_seconds", lambda: harness.ExperimentConfig(min_cycle_seconds=float("inf"))),
+        ("early_stop_acc", lambda: harness.ExperimentConfig(early_stop_acc=float("nan"))),
+        ("lr", lambda: TrainConfig(lr=float("nan"))),
+        ("k", lambda: dataclasses.replace(desk_config(), k=1)),
+        ("patch_width", lambda: harness.ExperimentConfig(patch_width=32.0)),
+        ("fold_seed", lambda: harness.ExperimentConfig(fold_seed=True)),
+        ("mixup", lambda: harness.ExperimentConfig(mixup=1)),
+        ("train", lambda: harness.ExperimentConfig(train={"epochs": 1})),
+        ("batch_size", lambda: TrainConfig(batch_size=2.0)),
+        ("alpha", lambda: MixupConfig(alpha=float("nan"))),
+    ], ids=["width-50", "inf-seconds", "nan-early-stop-acc", "nan-lr", "replace-k-1",
+            "float-width", "bool-fold-seed", "int-mixup", "dict-train", "float-batch-size",
+            "nan-mixup-alpha"])
+    def test_config_checks_itself_when_made(self, field, make):
+        with pytest.raises(ParameterError, match=rf"^{field} "):
             make()
+
+    @pytest.mark.parametrize("record,field", [
+        (harness.ExperimentConfig(), "k"), (TrainConfig(), "epochs"), (MixupConfig(), "alpha"),
+    ], ids=["experiment", "train", "mixup"])
+    def test_config_cannot_be_changed(self, record, field):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(record, field, getattr(record, field))
+
+    def test_equal_configs_share_one_identity(self):
+        made = harness.ExperimentConfig(min_cycle_seconds=2)
+        parsed = harness.config_from_dict({"min_cycle_seconds": "2"})
+        assert made == parsed and made.min_cycle_seconds == 2.0
+        assert harness.config_text(made) == harness.config_text(parsed)
+        assert harness.config_hash(made) == harness.config_hash(parsed)
+
+    def test_run_identity_is_pinned(self):
+        # a run directory's name; changing it orphans every earlier run
+        assert harness.config_hash(harness.ExperimentConfig()) == "bccbc8ba457a"
+        assert harness.config_hash(desk_config()) == "251e9305e108"
 
     def test_train_keys_flattened(self):
         cfg = harness.config_from_dict({"epochs": "7", "lr": "0.01"})
@@ -811,8 +838,9 @@ class TestSweeps:
 
     @pytest.mark.parametrize("key,values", [("min_cycle_seconds", [float("nan")]),
                                             ("patch_width", [32, 50]),
-                                            ("patch_width", [32.9])],
-                             ids=["nan-length", "width-50", "width-32.9"])
+                                            ("patch_width", [32.9]),
+                                            ("patch_width", [32.0])],
+                             ids=["nan-length", "width-50", "width-32.9", "width-32.0"])
     def test_bad_value_fails_before_any_wav_is_decoded(self, tiny_manifest, monkeypatch,
                                                         key, values):
         decoded = []

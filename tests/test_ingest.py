@@ -136,9 +136,11 @@ class TestLoadWav:
     def test_patient_id_from_stem(self, tmp_path):
         p = tmp_path / "101_1b1_Al_sc.wav"
         write_raw_wav(p, 1, 16, 1, 8000, np.zeros(10, dtype="<i2").tobytes())
-        rec = ingest.load_wav(p)
-        assert rec.recording_id == "101_1b1_Al_sc"
-        assert rec.patient_id == "101"
+        (tmp_path / "101_1b1_Al_sc.txt").write_text("0.0 0.001 0 0\n")
+        (tmp_path / "diag.csv").write_text("101,Healthy\n")
+        assert ingest.load_wav(p).recording_id == "101_1b1_Al_sc"
+        rec, = ingest.build_manifest(tmp_path, tmp_path / "diag.csv", "Task1_4class").records
+        assert (rec.recording_id, rec.patient_id) == ("101_1b1_Al_sc", "101")
 
 
 class TestParseAnnotation:
@@ -249,7 +251,7 @@ class TestExtractCycles:
         n = int(seconds * 16000)
         return ingest.AudioRecording(
             samples=np.arange(n, dtype=np.float64), sample_rate=16000,
-            recording_id="r", patient_id="p",
+            recording_id="r",
         )
 
     def test_simple_slice(self):
@@ -299,7 +301,7 @@ class TestExtractCycles:
             assert abs(len(samples) - expected) <= 1.0
 
     def test_requires_16k(self):
-        rec = ingest.AudioRecording(np.zeros(100), 8000, "r", "p")
+        rec = ingest.AudioRecording(np.zeros(100), 8000, "r")
         with pytest.raises(ParameterError):
             ingest.extract_cycles(rec, [])
 
